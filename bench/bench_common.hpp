@@ -110,8 +110,10 @@ double best_seconds(int reps, Fn&& fn) {
 
 // Interleaved A/B comparison on the same machine: alternate the two
 // workloads rep by rep so thermal/frequency drift hits both equally, and
-// report each side's best rep.  This is the protocol behind every
-// "N× speedup" number committed in the BENCH_*.json files.
+// report each side's best rep.  It produces the experiment tables' speedup
+// columns; it is not a regression gate.  The regression protocol is
+// `benchsuite/run.py compare` (benchsuite/README.md): paired runs of the
+// seeded suite, judged on medians against BENCHMARK.json's bounds.
 struct AbSeconds {
   double a = 0;
   double b = 0;

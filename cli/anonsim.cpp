@@ -17,10 +17,12 @@
 // traces); `anonsim describe` notes each preset's backend support.
 // Fault injection (env/faults.hpp) can be layered onto any consensus spec
 // from the command line: `--faults loss_prob=0.1,reorder_prob=0.2` patches
-// scalar FaultParams fields after the spec loads (list-valued fields —
+// env.faults fields after the spec loads (list-valued fields —
 // omission_senders, churn — need a spec file), and `--watchdog N` arms the
 // no-progress watchdog so fault-starved runs end `undecided` instead of
-// spinning to max_rounds.
+// spinning to max_rounds.  Every flag that sets a spec field hands its
+// text to the spec tables (set_scenario_field), so a value on the command
+// line is parsed and diagnosed exactly like the same value in a spec file.
 // `--transport sim|live` switches a spec between the simulators and the
 // anonsvc loopback service (real UDP/TCP sockets, one event-loop thread
 // per node); only the consensus, weakset and abd families are served live
@@ -33,6 +35,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -114,172 +117,65 @@ int cmd_describe(const std::string& name) {
 }
 
 struct RunArgs {
-  std::string preset;
-  std::string spec_file;
-  std::string json_out;
-  std::size_t threads = 0;
-  bool engine_threads_set = false;   // --engine-threads given on the cmdline
-  std::size_t engine_threads = 1;    // override value when set
-  std::string backend;               // --backend expanded|cohort override
-  std::string transport;             // --transport sim|live override
-  std::string faults;                // --faults K=V,... override text
-  bool faults_set = false;
-  bool watchdog_set = false;
-  Round watchdog = 0;                // --watchdog override value when set
+  std::optional<std::string> preset;
+  std::optional<std::string> spec_file;
+  std::optional<std::string> json_out;
+  std::optional<std::string> threads;
+  // Spec-field overrides, kept as given: the spec tables decode them once
+  // the spec has loaded (apply_overrides).
+  std::optional<std::string> engine_threads;  // <family>.engine_threads
+  std::optional<std::string> backend;         // <family>.backend
+  std::optional<std::string> transport;       // transport
+  std::optional<std::string> faults;          // env.faults.K per K=V pair
+  std::optional<std::string> watchdog;        // consensus.watchdog_rounds
   bool fail_undecided = false;
   bool no_timing = false;
   bool quiet = false;
 };
 
-// Patch scalar FaultParams fields from "key=value,key=value" text.  Keys
-// match the spec JSON (env.faults.*); list-valued fields need a spec file.
-bool apply_fault_overrides(const std::string& text, FaultParams* f,
-                           std::string* error) {
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find(',', pos);
-    if (end == std::string::npos) end = text.size();
-    const std::string pair = text.substr(pos, end - pos);
-    pos = end + 1;
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      *error = "expected key=value, got \"" + pair + "\"";
-      return false;
-    }
-    const std::string key = pair.substr(0, eq);
-    const std::string val = pair.substr(eq + 1);
-    char* rest = nullptr;
-    if (key == "loss_prob" || key == "dup_prob" || key == "reorder_prob") {
-      const double d = std::strtod(val.c_str(), &rest);
-      if (val.empty() || *rest != '\0') {
-        *error = key + " needs a number, got \"" + val + "\"";
-        return false;
-      }
-      (key == "loss_prob" ? f->loss_prob
-                          : key == "dup_prob" ? f->dup_prob
-                                              : f->reorder_prob) = d;
-    } else if (key == "seed" || key == "dup_extra_delay" ||
-               key == "max_extra_delay") {
-      const std::uint64_t u = std::strtoull(val.c_str(), &rest, 10);
-      if (val.empty() || *rest != '\0') {
-        *error = key + " needs a non-negative integer, got \"" + val + "\"";
-        return false;
-      }
-      if (key == "seed")
-        f->seed = u;
-      else if (key == "dup_extra_delay")
-        f->dup_extra_delay = static_cast<Round>(u);
-      else
-        f->max_extra_delay = static_cast<Round>(u);
-    } else if (key == "exempt_source") {
-      if (val == "true" || val == "1")
-        f->exempt_source = true;
-      else if (val == "false" || val == "0")
-        f->exempt_source = false;
-      else {
-        *error = "exempt_source needs true/false, got \"" + val + "\"";
-        return false;
-      }
-    } else {
-      *error = "unknown fault field \"" + key +
-               "\" (scalar fields: seed, loss_prob, dup_prob, "
-               "dup_extra_delay, reorder_prob, max_extra_delay, "
-               "exempt_source)";
-      return false;
-    }
-  }
-  return true;
+// Where a value-taking flag's text goes; nullptr for any other argument.
+std::optional<std::string>* value_slot(RunArgs* r, const std::string& flag) {
+  if (flag == "--preset") return &r->preset;
+  if (flag == "--spec") return &r->spec_file;
+  if (flag == "--json") return &r->json_out;
+  if (flag == "--threads") return &r->threads;
+  if (flag == "--engine-threads") return &r->engine_threads;
+  if (flag == "--backend") return &r->backend;
+  if (flag == "--transport") return &r->transport;
+  if (flag == "--faults") return &r->faults;
+  if (flag == "--watchdog") return &r->watchdog;
+  return nullptr;
 }
 
 bool parse_run_args(const std::vector<std::string>& args, RunArgs* out,
                     std::string* error) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    auto value = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        *error = std::string(flag) + " needs a value";
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    if (a == "--preset") {
-      const std::string* v = value("--preset");
-      if (v == nullptr) return false;
-      out->preset = *v;
-    } else if (a == "--spec") {
-      const std::string* v = value("--spec");
-      if (v == nullptr) return false;
-      out->spec_file = *v;
-    } else if (a == "--json") {
-      const std::string* v = value("--json");
-      if (v == nullptr) return false;
-      out->json_out = *v;
-    } else if (a == "--threads") {
-      const std::string* v = value("--threads");
-      if (v == nullptr) return false;
-      if (v->empty() ||
-          v->find_first_not_of("0123456789") != std::string::npos) {
-        *error = "--threads needs a non-negative integer, got \"" + *v + "\"";
-        return false;
-      }
-      out->threads = static_cast<std::size_t>(std::strtoull(v->c_str(),
-                                                            nullptr, 10));
-    } else if (a == "--engine-threads") {
-      const std::string* v = value("--engine-threads");
-      if (v == nullptr) return false;
-      if (v->empty() ||
-          v->find_first_not_of("0123456789") != std::string::npos) {
-        *error =
-            "--engine-threads needs a non-negative integer, got \"" + *v + "\"";
-        return false;
-      }
-      out->engine_threads_set = true;
-      out->engine_threads = static_cast<std::size_t>(std::strtoull(v->c_str(),
-                                                                   nullptr, 10));
-    } else if (a == "--backend") {
-      const std::string* v = value("--backend");
-      if (v == nullptr) return false;
-      if (*v != "expanded" && *v != "cohort") {
-        *error = "--backend needs expanded or cohort, got \"" + *v + "\"";
-        return false;
-      }
-      out->backend = *v;
-    } else if (a == "--transport") {
-      const std::string* v = value("--transport");
-      if (v == nullptr) return false;
-      if (*v != "sim" && *v != "live") {
-        *error = "--transport needs sim or live, got \"" + *v + "\"";
-        return false;
-      }
-      out->transport = *v;
-    } else if (a == "--faults") {
-      const std::string* v = value("--faults");
-      if (v == nullptr) return false;
-      out->faults = *v;
-      out->faults_set = true;
-    } else if (a == "--watchdog") {
-      const std::string* v = value("--watchdog");
-      if (v == nullptr) return false;
-      if (v->empty() ||
-          v->find_first_not_of("0123456789") != std::string::npos) {
-        *error = "--watchdog needs a non-negative integer, got \"" + *v + "\"";
-        return false;
-      }
-      out->watchdog_set = true;
-      out->watchdog = static_cast<Round>(std::strtoull(v->c_str(), nullptr,
-                                                       10));
-    } else if (a == "--fail-undecided") {
+    if (a == "--fail-undecided") {
       out->fail_undecided = true;
     } else if (a == "--no-timing") {
       out->no_timing = true;
     } else if (a == "--quiet") {
       out->quiet = true;
+    } else if (std::optional<std::string>* slot = value_slot(out, a)) {
+      if (i + 1 >= args.size()) {
+        *error = a + " needs a value";
+        return false;
+      }
+      *slot = args[++i];
     } else {
       *error = "unknown argument " + a;
       return false;
     }
   }
-  if (out->preset.empty() == out->spec_file.empty()) {
+  if (out->threads &&
+      (out->threads->empty() ||
+       out->threads->find_first_not_of("0123456789") != std::string::npos)) {
+    *error = "--threads needs a non-negative integer, got \"" +
+             *out->threads + "\"";
+    return false;
+  }
+  if (out->preset.has_value() == out->spec_file.has_value()) {
     *error = "exactly one of --preset / --spec is required";
     return false;
   }
@@ -288,27 +184,27 @@ bool parse_run_args(const std::vector<std::string>& args, RunArgs* out,
 
 // 0 on success with *spec filled; 2/3 exit code otherwise.
 int load_spec(const RunArgs& args, ScenarioSpec* spec) {
-  if (!args.preset.empty()) {
+  if (args.preset) {
     const ScenarioPreset* p =
-        ScenarioRegistry::instance().find_preset(args.preset);
+        ScenarioRegistry::instance().find_preset(*args.preset);
     if (p == nullptr) {
-      std::cerr << "anonsim: unknown preset \"" << args.preset
+      std::cerr << "anonsim: unknown preset \"" << *args.preset
                 << "\" (try `anonsim list`)\n";
       return 2;
     }
     *spec = p->spec;
     return 0;
   }
-  std::ifstream f(args.spec_file);
+  std::ifstream f(*args.spec_file);
   if (!f) {
-    std::cerr << "anonsim: cannot open " << args.spec_file << "\n";
+    std::cerr << "anonsim: cannot open " << *args.spec_file << "\n";
     return 2;
   }
   std::ostringstream buf;
   buf << f.rdbuf();
   auto decoded = parse_scenario_spec(buf.str());
   if (!decoded.ok()) {
-    std::cerr << "anonsim: " << args.spec_file << " is not a valid spec:\n";
+    std::cerr << "anonsim: " << *args.spec_file << " is not a valid spec:\n";
     for (const auto& e : decoded.errors)
       std::cerr << "  " << e.to_string() << "\n";
     return 3;
@@ -317,101 +213,92 @@ int load_spec(const RunArgs& args, ScenarioSpec* spec) {
   return 0;
 }
 
-int cmd_run(const RunArgs& args, bool schema_only) {
-  ScenarioSpec spec;
-  if (int rc = load_spec(args, &spec); rc != 0) return rc;
+// Sets the spec field at `path` from a flag's text; false (after printing
+// the diagnostics) when the spec tables reject it.
+bool set_field(ScenarioSpec* spec, const char* flag, const std::string& path,
+               const std::string& text) {
+  const auto errors = set_scenario_field(spec, path, text);
+  for (const auto& e : errors)
+    std::cerr << "anonsim: " << flag << ": " << e.to_string() << "\n";
+  return errors.empty();
+}
 
-  const bool has_backend = spec.family == ScenarioFamily::kConsensus ||
-                           spec.family == ScenarioFamily::kWeakset ||
-                           spec.family == ScenarioFamily::kEmulation;
-  if (args.engine_threads_set) {
-    if (!has_backend) {
-      std::cerr << "anonsim: --engine-threads applies to the consensus, "
-                   "weakset and emulation families (intra-run sharding), "
-                   "not \""
-                << to_string(spec.family) << "\"\n";
-      return 2;
-    }
-    switch (spec.family) {
-      case ScenarioFamily::kConsensus:
-        spec.consensus.engine_threads = args.engine_threads;
-        break;
-      case ScenarioFamily::kWeakset:
-        spec.weakset.engine_threads = args.engine_threads;
-        break;
-      default:
-        spec.emulation.engine_threads = args.engine_threads;
-        break;
-    }
+// Applies the command-line overrides; 0, or exit code 2 on a usage error.
+int apply_overrides(const RunArgs& args, ScenarioSpec* spec) {
+  const bool has_backend = spec->family == ScenarioFamily::kConsensus ||
+                           spec->family == ScenarioFamily::kWeakset ||
+                           spec->family == ScenarioFamily::kEmulation;
+  if ((args.engine_threads || args.backend) && !has_backend) {
+    std::cerr << "anonsim: --engine-threads and --backend apply to the "
+                 "consensus, weakset and emulation families (intra-run "
+                 "sharding, cohort engines), not \""
+              << to_string(spec->family) << "\"\n";
+    return 2;
   }
-  if (!args.backend.empty()) {
-    if (!has_backend) {
-      std::cerr << "anonsim: --backend applies to the consensus, weakset "
-                   "and emulation families, not \""
-                << to_string(spec.family) << "\"\n";
+  // These three families' section keys are their family names.
+  const std::string section = to_string(spec->family);
+  if (args.engine_threads &&
+      !set_field(spec, "--engine-threads", section + ".engine_threads",
+                 *args.engine_threads))
+    return 2;
+  if (args.backend) {
+    if (!set_field(spec, "--backend", section + ".backend", *args.backend))
       return 2;
-    }
-    const bool cohort = args.backend == "cohort";
-    switch (spec.family) {
-      case ScenarioFamily::kConsensus:
-        // The cohort engines never materialize per-process traces, so the
-        // trace surfaces go dark with them (same contract as spec
-        // validation enforces).
-        spec.consensus.backend =
-            cohort ? ConsensusBackend::kCohort : ConsensusBackend::kExpanded;
-        if (cohort) {
-          spec.consensus.record_trace = false;
-          spec.consensus.record_deliveries = false;
-          spec.consensus.validate_env = false;
-        }
-        break;
-      case ScenarioFamily::kWeakset:
-        spec.weakset.backend = cohort ? WeaksetSpecSection::Backend::kCohort
-                                      : WeaksetSpecSection::Backend::kExpanded;
-        if (cohort) spec.weakset.validate_env = false;
-        break;
-      default:
-        spec.emulation.backend = cohort
-                                     ? EmulationSpecSection::Backend::kCohort
-                                     : EmulationSpecSection::Backend::kExpanded;
-        if (cohort) spec.emulation.certify = false;
-        break;
-    }
+    // The cohort engines never materialize per-process traces, so the
+    // trace surfaces go dark with them (same contract as spec validation
+    // enforces).
+    auto& c = spec->consensus;
+    if (c.backend == ConsensusBackend::kCohort)
+      c.record_trace = c.record_deliveries = c.validate_env = false;
+    if (spec->weakset.backend == WeaksetSpecSection::Backend::kCohort)
+      spec->weakset.validate_env = false;
+    if (spec->emulation.backend == EmulationSpecSection::Backend::kCohort)
+      spec->emulation.certify = false;
   }
-  if (!args.transport.empty()) {
-    spec.transport = args.transport == "live" ? TransportKind::kLive
-                                              : TransportKind::kSim;
-    if (spec.transport == TransportKind::kSim) spec.live = LiveSpecSection{};
+  if (args.transport) {
+    if (!set_field(spec, "--transport", "transport", *args.transport))
+      return 2;
+    if (spec->transport == TransportKind::kSim) spec->live = LiveSpecSection{};
   }
   // Unserved family + live is a usage error (exit 2), whether the request
   // came from --transport or the spec file itself.
-  if (spec.transport == TransportKind::kLive &&
-      !family_live_supported(spec.family)) {
+  if (spec->transport == TransportKind::kLive &&
+      !family_live_supported(spec->family)) {
     std::cerr << "anonsim: transport \"live\" serves the consensus, weakset "
                  "and abd families, not \""
-              << to_string(spec.family) << "\"\n";
+              << to_string(spec->family) << "\"\n";
     return 2;
   }
-  if (args.faults_set) {
-    std::string error;
-    if (!apply_fault_overrides(args.faults, &spec.faults, &error)) {
-      std::cerr << "anonsim: --faults: " << error << "\n";
-      return 2;
+  if (args.faults) {
+    std::istringstream pairs(*args.faults);
+    for (std::string pair; std::getline(pairs, pair, ',');) {
+      const std::size_t eq = pair.find('=');
+      if (eq == std::string::npos || eq == 0) {
+        std::cerr << "anonsim: --faults: expected key=value, got \"" << pair
+                  << "\"\n";
+        return 2;
+      }
+      if (!set_field(spec, "--faults", "env.faults." + pair.substr(0, eq),
+                     pair.substr(eq + 1)))
+        return 2;
     }
   }
-  if (args.watchdog_set) {
-    if (spec.family != ScenarioFamily::kConsensus) {
-      std::cerr << "anonsim: --watchdog applies to consensus specs, not "
-                   "family \""
-                << to_string(spec.family) << "\"\n";
-      return 2;
-    }
-    spec.consensus.watchdog_rounds = args.watchdog;
-  }
+  if (args.watchdog && !set_field(spec, "--watchdog",
+                                  "consensus.watchdog_rounds", *args.watchdog))
+    return 2;
+  return 0;
+}
+
+int cmd_run(const RunArgs& args, bool schema_only) {
+  ScenarioSpec spec;
+  if (int rc = load_spec(args, &spec); rc != 0) return rc;
+  if (int rc = apply_overrides(args, &spec); rc != 0) return rc;
 
   ScenarioReport report;
   try {
-    report = ScenarioRegistry::instance().run(spec, {.threads = args.threads});
+    const std::size_t threads =
+        args.threads ? std::strtoull(args.threads->c_str(), nullptr, 10) : 0;
+    report = ScenarioRegistry::instance().run(spec, {.threads = threads});
   } catch (const ScenarioSpecError& e) {
     std::cerr << "anonsim: " << e.what() << "\n";
     return 3;
@@ -424,13 +311,14 @@ int cmd_run(const RunArgs& args, bool schema_only) {
   }
 
   if (!args.quiet) std::cout << report.summary() << "\n";
-  if (!args.json_out.empty()) {
-    std::ofstream out(args.json_out);
+  if (args.json_out) {
+    std::ofstream out(*args.json_out);
     if (!out || !(out << report.to_json_string(!args.no_timing))) {
-      std::cerr << "anonsim: cannot write " << args.json_out << "\n";
+      std::cerr << "anonsim: cannot write " << *args.json_out << "\n";
       return 1;
     }
-    if (!args.quiet) std::cout << "report written to " << args.json_out << "\n";
+    if (!args.quiet)
+      std::cout << "report written to " << *args.json_out << "\n";
   } else if (args.quiet) {
     std::cout << report.to_json_string(!args.no_timing);
   }

@@ -31,12 +31,8 @@
 
 namespace anon {
 
+// Its wire size, MessageSizeOf<ValueSet>, is defined in net/lockstep.hpp.
 using EsMessage = ValueSet;
-
-template <>
-struct MessageSizeOf<EsMessage> {
-  static std::size_t size(const EsMessage& m) { return 16 + 8 * m.size(); }
-};
 
 class EsConsensus final : public Automaton<EsMessage> {
  public:

@@ -90,8 +90,8 @@ struct LinkFate {
 };
 
 // Deterministic Bernoulli draw from a 64-bit hash (53-bit mantissa
-// uniform).  Shared with runtime/bus.hpp's JitterPolicy so the simulated
-// and realtime backends read the same loss knob identically.
+// uniform).  Shared with svc/jitter.hpp's JitterPolicy so the simulated
+// and live backends read the same loss knob identically.
 bool hash_chance(std::uint64_t h, double prob);
 
 // The fault stream seed for a run: the plan's own seed when pinned,

@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/value.hpp"
 #include "core/arena.hpp"
 #include "core/calendar.hpp"
 #include "core/partition.hpp"
@@ -113,11 +114,19 @@ struct RunResult {
   bool stopped = false;  // stop condition met (vs. max_rounds exhausted)
 };
 
-// Approximate wire size of a message, for state-growth experiments (E10).
-// Specialize alongside each message type.
+// Approximate wire size of a message, for state-growth experiments (E10)
+// and every engine's `bytes` metric.  There is no generic fallback: an
+// engine instantiated over a message type without a specialization fails
+// to compile, so one type cannot get two sizes in two translation units.
 template <typename M>
-struct MessageSizeOf {
-  static std::size_t size(const M&) { return sizeof(M); }
+struct MessageSizeOf;
+
+// ValueSet is the message of Algorithms 2 and 4 and of the weak-set
+// register, so its size lives here, next to the engines, where every
+// instantiation sees it.
+template <>
+struct MessageSizeOf<ValueSet> {
+  static std::size_t size(const ValueSet& m) { return 16 + 8 * m.size(); }
 };
 
 template <GirafMessage M>

@@ -1,8 +1,10 @@
 #include "scenario/spec.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "env/generate.hpp"
 
@@ -63,10 +65,6 @@ constexpr EnumName<EmulationSpecSection::Backend> kEmuBackendNames[] = {
     {EmulationSpecSection::Backend::kCohort, "cohort"},
 };
 
-// The emulation probe-seed default: distinct, base 0 — the historical echo
-// seeds 0..n-1.  Encoded only when a spec departs from it.
-const ValueGenSpec kDefaultProbeValues{ValueGenSpec::Kind::kDistinct, 0, 0, {}};
-
 constexpr EnumName<ConsensusSpecSection::Schedule> kScheduleNames[] = {
     {ConsensusSpecSection::Schedule::kEnv, "env"},
     {ConsensusSpecSection::Schedule::kBivalentMs, "bivalent-ms"},
@@ -119,17 +117,35 @@ constexpr EnumName<ShmSpecSection::Construction> kShmNames[] = {
     {ShmSpecSection::Construction::kMwmr, "mwmr"},
 };
 
-template <typename E, std::size_t N>
-const char* enum_name(const EnumName<E> (&table)[N], E value) {
-  for (const auto& e : table)
+// The codecs below find an enum's names by its type.
+const auto& names(ScenarioFamily) { return kFamilyNames; }
+const auto& names(EnvKind) { return kEnvKindNames; }
+const auto& names(TransportKind) { return kTransportNames; }
+const auto& names(LiveSpecSection::Socket) { return kLiveSocketNames; }
+const auto& names(ConsensusAlgo) { return kAlgoNames; }
+const auto& names(ConsensusBackend) { return kBackendNames; }
+const auto& names(WeaksetSpecSection::Backend) { return kWsBackendNames; }
+const auto& names(EmulationSpecSection::Backend) { return kEmuBackendNames; }
+const auto& names(ConsensusSpecSection::Schedule) { return kScheduleNames; }
+const auto& names(ConsensusSpecSection::Probe) { return kConsensusProbeNames; }
+const auto& names(OmegaSpecSection::Probe) { return kOmegaProbeNames; }
+const auto& names(ValueGenSpec::Kind) { return kValueGenNames; }
+const auto& names(CrashGenSpec::Kind) { return kCrashGenNames; }
+const auto& names(WeaksetSpecSection::Mode) { return kWeaksetModeNames; }
+const auto& names(EmulationSpecSection::Inner) { return kEmuInnerNames; }
+const auto& names(EmulationSpecSection::Engine) { return kEmuEngineNames; }
+const auto& names(ShmSpecSection::Construction) { return kShmNames; }
+
+template <typename E>
+const char* enum_name(E value) {
+  for (const auto& e : names(value))
     if (e.value == value) return e.name;
   return "?";
 }
 
-template <typename E, std::size_t N>
-bool enum_from_name(const EnumName<E> (&table)[N], const std::string& name,
-                    E* out) {
-  for (const auto& e : table) {
+template <typename E>
+bool enum_from_name(const std::string& name, E* out) {
+  for (const auto& e : names(E{})) {
     if (name == e.name) {
       *out = e.value;
       return true;
@@ -138,10 +154,10 @@ bool enum_from_name(const EnumName<E> (&table)[N], const std::string& name,
   return false;
 }
 
-template <typename E, std::size_t N>
-std::string enum_choices(const EnumName<E> (&table)[N]) {
+template <typename E>
+std::string enum_choices() {
   std::string out;
-  for (const auto& e : table) {
+  for (const auto& e : names(E{})) {
     if (!out.empty()) out += " | ";
     out += std::string("\"") + e.name + "\"";
   }
@@ -150,7 +166,7 @@ std::string enum_choices(const EnumName<E> (&table)[N]) {
 
 }  // namespace
 
-const char* to_string(ScenarioFamily f) { return enum_name(kFamilyNames, f); }
+const char* to_string(ScenarioFamily f) { return enum_name(f); }
 
 const std::vector<ScenarioFamily>& all_scenario_families() {
   static const std::vector<ScenarioFamily> kAll = {
@@ -224,688 +240,620 @@ CrashPlan ScenarioSpec::crash_plan(std::uint64_t seed) const {
   return CrashPlan{};
 }
 
-// ------------------------------------------------------------------ encode --
+// ------------------------------------------------------------ field tables --
+//
+// Every JSON object of a spec is described by one static table of Field
+// entries: its key, the member it maps to, when it is written and any
+// single-field range.  The member's type picks its JSON kind (unsigned
+// integer, integer, number, boolean, string, enum name, list, or an object
+// with its own table).  One set of walkers then encodes (table order is the
+// canonical key order), decodes with field-path diagnostics, rejects
+// unknown keys, and runs the range checks inside validate_scenario_spec.
+// Adding a spec field is one table entry.
 
 namespace {
 
-JsonValue encode_initial(const ValueGenSpec& g) {
-  JsonValue v = JsonValue::object();
-  v.set("kind", JsonValue::str(enum_name(kValueGenNames, g.kind)));
-  switch (g.kind) {
-    case ValueGenSpec::Kind::kDistinct:
-    case ValueGenSpec::Kind::kIdentical:
-      v.set("base", JsonValue::integer(g.base));
-      break;
-    case ValueGenSpec::Kind::kCycle:
-      v.set("base", JsonValue::integer(g.base));
-      v.set("period", JsonValue::uint(g.period));
-      break;
-    case ValueGenSpec::Kind::kBivalent:
-      break;
-    case ValueGenSpec::Kind::kExplicit: {
-      JsonValue arr = JsonValue::array();
-      for (std::int64_t x : g.values) arr.push(JsonValue::integer(x));
-      v.set("values", std::move(arr));
-      break;
-    }
+using Errors = std::vector<SpecError>;
+
+// A dotted field path ("env.faults.churn[1].leave"), linked through the
+// walkers' stack frames and rendered only when a diagnostic needs it.
+struct Path {
+  const Path* parent;  // nullptr at the top level
+  const char* key;     // a member, or nullptr for list element `index`
+  std::size_t index = 0;
+
+  std::string str() const {
+    if (key == nullptr)
+      return parent->str() + "[" + std::to_string(index) + "]";
+    return parent == nullptr ? key : parent->str() + "." + key;
   }
-  return v;
+};
+
+void fail(Errors& errs, const Path& at, std::string message) {
+  errs.push_back({at.str(), std::move(message)});
 }
 
-JsonValue encode_crashes(const CrashGenSpec& c) {
-  JsonValue v = JsonValue::object();
-  v.set("kind", JsonValue::str(enum_name(kCrashGenNames, c.kind)));
-  switch (c.kind) {
-    case CrashGenSpec::Kind::kNone:
-      break;
-    case CrashGenSpec::Kind::kExplicit: {
-      JsonValue arr = JsonValue::array();
-      for (const auto& e : c.entries) {
-        JsonValue entry = JsonValue::object();
-        entry.set("process", JsonValue::uint(e.process));
-        entry.set("round", JsonValue::uint(e.round));
-        arr.push(std::move(entry));
-      }
-      v.set("entries", std::move(arr));
-      break;
-    }
-    case CrashGenSpec::Kind::kRandom:
-      v.set("count", JsonValue::uint(c.count));
-      v.set("horizon", JsonValue::uint(c.horizon));
-      v.set("seed_offset", JsonValue::uint(c.seed_offset));
-      break;
-  }
-  return v;
+// ---- member codecs: the member's type picks its JSON kind ----
+
+template <typename T>
+JsonValue to_json(const T& v) {
+  if constexpr (std::is_same_v<T, bool>)
+    return JsonValue::boolean(v);
+  else if constexpr (std::is_unsigned_v<T>)
+    return JsonValue::uint(v);
+  else if constexpr (std::is_integral_v<T>)
+    return JsonValue::integer(v);
+  else if constexpr (std::is_floating_point_v<T>)
+    return JsonValue::number(v);
+  else if constexpr (std::is_enum_v<T>)
+    return JsonValue::str(enum_name(v));
+  else
+    return JsonValue::str(v);
 }
 
-// Encoded field-by-field against the defaults (and only attached to the
-// env object when anything differs), so every pre-existing spec and golden
-// is byte-identical and encode(decode(encode(s))) stays canonical.
-JsonValue encode_faults(const FaultParams& f) {
-  const FaultParams defaults;
-  JsonValue v = JsonValue::object();
-  if (f.seed != defaults.seed) v.set("seed", JsonValue::uint(f.seed));
-  if (f.loss_prob != defaults.loss_prob)
-    v.set("loss_prob", JsonValue::number(f.loss_prob));
-  if (f.dup_prob != defaults.dup_prob)
-    v.set("dup_prob", JsonValue::number(f.dup_prob));
-  if (f.dup_extra_delay != defaults.dup_extra_delay)
-    v.set("dup_extra_delay", JsonValue::uint(f.dup_extra_delay));
-  if (f.reorder_prob != defaults.reorder_prob)
-    v.set("reorder_prob", JsonValue::number(f.reorder_prob));
-  if (f.max_extra_delay != defaults.max_extra_delay)
-    v.set("max_extra_delay", JsonValue::uint(f.max_extra_delay));
-  if (!f.omission_senders.empty()) {
-    JsonValue arr = JsonValue::array();
-    for (ProcId p : f.omission_senders) arr.push(JsonValue::uint(p));
-    v.set("omission_senders", std::move(arr));
-  }
-  if (!f.churn.empty()) {
-    JsonValue arr = JsonValue::array();
-    for (const ChurnSpec& c : f.churn) {
-      JsonValue o = JsonValue::object();
-      o.set("process", JsonValue::uint(c.process));
-      o.set("leave", JsonValue::uint(c.leave));
-      if (c.rejoin != 0) o.set("rejoin", JsonValue::uint(c.rejoin));
-      arr.push(std::move(o));
-    }
-    v.set("churn", std::move(arr));
-  }
-  if (f.exempt_source != defaults.exempt_source)
-    v.set("exempt_source", JsonValue::boolean(f.exempt_source));
-  return v;
+template <typename T>
+JsonValue to_json(const std::vector<T>& xs) {
+  JsonValue arr = JsonValue::array();
+  for (const T& x : xs) arr.push(to_json(x));
+  return arr;
 }
 
-JsonValue encode_consensus(const ConsensusSpecSection& c) {
-  JsonValue v = JsonValue::object();
-  v.set("algo", JsonValue::str(enum_name(kAlgoNames, c.algo)));
-  v.set("backend", JsonValue::str(enum_name(kBackendNames, c.backend)));
-  // Conditional (like horizon): the serial default stays un-encoded, so
-  // every pre-existing spec and golden is unchanged.
-  if (c.engine_threads != 1)
-    v.set("engine_threads", JsonValue::uint(c.engine_threads));
-  v.set("schedule", JsonValue::str(enum_name(kScheduleNames, c.schedule)));
-  v.set("probe", JsonValue::str(enum_name(kConsensusProbeNames, c.probe)));
-  if (c.probe != ConsensusSpecSection::Probe::kDecision)
-    v.set("horizon", JsonValue::uint(c.horizon));
-  v.set("gc_counters", JsonValue::boolean(c.gc_counters));
-  v.set("max_rounds", JsonValue::uint(c.max_rounds));
-  if (c.watchdog_rounds != 0)
-    v.set("watchdog_rounds", JsonValue::uint(c.watchdog_rounds));
-  v.set("record_trace", JsonValue::boolean(c.record_trace));
-  v.set("record_deliveries", JsonValue::boolean(c.record_deliveries));
-  v.set("validate_env", JsonValue::boolean(c.validate_env));
-  return v;
-}
-
-JsonValue encode_omega(const OmegaSpecSection& o) {
-  JsonValue v = JsonValue::object();
-  v.set("probe", JsonValue::str(enum_name(kOmegaProbeNames, o.probe)));
-  v.set("silence_threshold", JsonValue::uint(o.silence_threshold));
-  if (o.probe == OmegaSpecSection::Probe::kLeaderConvergence)
-    v.set("horizon", JsonValue::uint(o.horizon));
-  v.set("max_rounds", JsonValue::uint(o.max_rounds));
-  return v;
-}
-
-JsonValue encode_weakset(const WeaksetSpecSection& w) {
-  JsonValue v = JsonValue::object();
-  v.set("mode", JsonValue::str(enum_name(kWeaksetModeNames, w.mode)));
-  if (w.backend != WeaksetSpecSection::Backend::kExpanded)
-    v.set("backend", JsonValue::str(enum_name(kWsBackendNames, w.backend)));
-  if (w.engine_threads != 1)
-    v.set("engine_threads", JsonValue::uint(w.engine_threads));
-  if (!w.script.empty()) {
-    JsonValue arr = JsonValue::array();
-    for (const auto& op : w.script) {
-      JsonValue o = JsonValue::object();
-      o.set("round", JsonValue::uint(op.round));
-      o.set("process", JsonValue::uint(op.process));
-      o.set("mutate", JsonValue::boolean(op.is_mutation));
-      if (op.is_mutation) o.set("value", JsonValue::integer(op.value));
-      arr.push(std::move(o));
-    }
-    v.set("script", std::move(arr));
+// Absent fields keep the struct's value (specs are sparse-friendly);
+// present-but-mistyped ones are diagnosed at their path.
+template <typename T>
+void from_json(Errors& errs, const JsonValue& v, const Path& at, T* out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (!v.is_bool()) return fail(errs, at, "must be a boolean");
+    *out = v.as_bool();
+  } else if constexpr (std::is_unsigned_v<T>) {
+    if (!v.is_uint()) return fail(errs, at, "must be a non-negative integer");
+    *out = static_cast<T>(v.as_uint());
+  } else if constexpr (std::is_integral_v<T>) {
+    if (!v.is_int()) return fail(errs, at, "must be an integer");
+    *out = v.as_int();
+  } else if constexpr (std::is_floating_point_v<T>) {
+    if (!v.is_number()) return fail(errs, at, "must be a number");
+    *out = v.as_double();
+  } else if constexpr (std::is_enum_v<T>) {
+    if (!v.is_string())
+      return fail(errs, at, "must be one of " + enum_choices<T>());
+    if (!enum_from_name(v.as_string(), out))
+      fail(errs, at, "unknown value \"" + v.as_string() + "\" — expected " +
+                         enum_choices<T>());
   } else {
-    v.set("gen_ops", JsonValue::uint(w.gen_ops));
+    if (!v.is_string()) return fail(errs, at, "must be a string");
+    *out = v.as_string();
   }
-  v.set("extra_rounds", JsonValue::uint(w.extra_rounds));
-  v.set("validate_env", JsonValue::boolean(w.validate_env));
-  v.set("keep_records", JsonValue::boolean(w.keep_records));
-  return v;
 }
 
-JsonValue encode_emulation(const EmulationSpecSection& e) {
-  JsonValue v = JsonValue::object();
-  v.set("inner", JsonValue::str(enum_name(kEmuInnerNames, e.inner)));
-  v.set("engine", JsonValue::str(enum_name(kEmuEngineNames, e.engine)));
-  if (e.backend != EmulationSpecSection::Backend::kExpanded)
-    v.set("backend", JsonValue::str(enum_name(kEmuBackendNames, e.backend)));
-  if (e.engine_threads != 1)
-    v.set("engine_threads", JsonValue::uint(e.engine_threads));
-  v.set("rounds", JsonValue::uint(e.rounds));
-  v.set("min_add_latency", JsonValue::uint(e.min_add_latency));
-  v.set("max_add_latency", JsonValue::uint(e.max_add_latency));
-  if (!e.skew.empty()) {
-    JsonValue arr = JsonValue::array();
-    for (std::uint64_t s : e.skew) arr.push(JsonValue::uint(s));
-    v.set("skew", std::move(arr));
+template <typename T>
+void from_json(Errors& errs, const JsonValue& v, const Path& at,
+               std::vector<T>* out) {
+  if (!v.is_array()) return fail(errs, at, "must be an array");
+  out->assign(v.items().size(), T{});
+  for (std::size_t i = 0; i < v.items().size(); ++i)
+    from_json(errs, v.items()[i], Path{&at, nullptr, i}, &(*out)[i]);
+}
+
+// ---- single-field ranges ----
+
+enum class Range {
+  kAny,
+  kAtLeastOne,  // "must be >= 1"
+  kOneBased,    // a round number: "rounds are 1-based"
+  kUnit,        // a probability: "must be in [0, 1]"
+};
+
+template <typename T>
+void check_range(Errors& errs, const T& v, const Path& at, Range r) {
+  if constexpr (std::is_floating_point_v<T>) {
+    if (r == Range::kUnit && (v < 0 || v > 1))
+      fail(errs, at, "must be in [0, 1]");
+  } else if constexpr (std::is_unsigned_v<T> && !std::is_same_v<T, bool>) {
+    if (r == Range::kAtLeastOne && v == 0) fail(errs, at, "must be >= 1");
+    if (r == Range::kOneBased && v == 0) fail(errs, at, "rounds are 1-based");
   }
-  v.set("max_ticks", JsonValue::uint(e.max_ticks));
-  if (!e.adds.empty()) {
-    JsonValue arr = JsonValue::array();
-    for (const auto& a : e.adds) {
-      JsonValue o = JsonValue::object();
-      o.set("process", JsonValue::uint(a.process));
-      o.set("value", JsonValue::integer(a.value));
-      arr.push(std::move(o));
-    }
-    v.set("adds", std::move(arr));
+}
+
+template <typename T>
+void check_range(Errors& errs, const std::vector<T>& xs, const Path& at,
+                 Range r) {
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    check_range(errs, xs[i], Path{&at, nullptr, i}, r);
+}
+
+// ---- the entry ----
+
+enum class Emit {
+  kAlways,      // every encoding carries the key
+  kNonDefault,  // only when the member differs from its struct's default
+};
+
+template <typename S>
+struct Field {
+  const char* key;
+  // Member access, generated from the member's type by field<>, object<>,
+  // objects<> and group<> below.
+  JsonValue (*encode)(const S&);
+  void (*decode)(Errors&, const JsonValue&, const Path&, S*);
+  void (*check)(Errors&, const S&, const Path&, Range);
+  bool (*is_default)(const S&);
+  // The entry's rules.
+  Emit emit = Emit::kAlways;
+  Range range = Range::kAny;
+  // A predicate on siblings listed (and so decoded) earlier: while it is
+  // false the field is not encoded, not range-checked, and a present key
+  // is diagnosed with `why`.  In the ScenarioSpec tables `why` may name
+  // the spec's family as "{family}".
+  bool (*when)(const S&) = nullptr;
+  const char* why = nullptr;
+
+  constexpr Field if_changed() const {
+    Field f = *this;
+    f.emit = Emit::kNonDefault;
+    return f;
   }
-  if (!(e.probe_values == kDefaultProbeValues))
-    v.set("probe_values", encode_initial(e.probe_values));
-  if (!e.certify) v.set("certify", JsonValue::boolean(false));
-  return v;
+  constexpr Field must_be(Range r) const {
+    Field f = *this;
+    f.range = r;
+    return f;
+  }
+  constexpr Field only_if(bool (*pred)(const S&), const char* message) const {
+    Field f = *this;
+    f.when = pred;
+    f.why = message;
+    return f;
+  }
+  bool active(const S& s) const { return when == nullptr || when(s); }
+};
+
+template <typename S>
+std::string reason(const char* why, const S&) {
+  return why;
 }
 
-JsonValue encode_shm(const ShmSpecSection& s) {
-  JsonValue v = JsonValue::object();
-  v.set("construction", JsonValue::str(enum_name(kShmNames, s.construction)));
-  v.set("gen_ops", JsonValue::uint(s.gen_ops));
-  v.set("domain", JsonValue::uint(s.domain));
-  if (s.construction == ShmSpecSection::Construction::kMwmr)
-    v.set("writers", JsonValue::uint(s.writers));
-  return v;
+std::string reason(const char* why, const ScenarioSpec& spec) {
+  static constexpr std::string_view kFamily = "{family}";
+  std::string out = why;
+  if (const std::size_t at = out.find(kFamily); at != std::string::npos)
+    out.replace(at, kFamily.size(), to_string(spec.family));
+  return out;
 }
 
-JsonValue encode_abd(const AbdSpecSection& a) {
-  JsonValue v = JsonValue::object();
-  v.set("crash_prefix", JsonValue::uint(a.crash_prefix));
-  v.set("write_value", JsonValue::integer(a.write_value));
-  return v;
+// ---- the walkers ----
+
+template <typename S, std::size_t N>
+JsonValue encode_fields(const Field<S> (&table)[N], const S& s) {
+  JsonValue obj = JsonValue::object();
+  for (const Field<S>& f : table)
+    if (f.active(s) && !(f.emit == Emit::kNonDefault && f.is_default(s)))
+      obj.set(f.key, f.encode(s));
+  return obj;
 }
 
-// Defaults-elided, like encode_faults: only attached for transport "live"
-// and only departures from the defaults are written.
-JsonValue encode_live(const LiveSpecSection& l) {
-  const LiveSpecSection defaults;
-  JsonValue v = JsonValue::object();
-  if (l.socket != defaults.socket)
-    v.set("socket", JsonValue::str(enum_name(kLiveSocketNames, l.socket)));
-  if (l.period_ms != defaults.period_ms)
-    v.set("period_ms", JsonValue::uint(l.period_ms));
-  if (l.jitter_ms != defaults.jitter_ms)
-    v.set("jitter_ms", JsonValue::uint(l.jitter_ms));
-  if (l.loss != defaults.loss) v.set("loss", JsonValue::number(l.loss));
-  if (l.op_timeout_ms != defaults.op_timeout_ms)
-    v.set("op_timeout_ms", JsonValue::uint(l.op_timeout_ms));
-  if (l.clients != defaults.clients)
-    v.set("clients", JsonValue::uint(l.clients));
-  if (l.watchdog_rounds != defaults.watchdog_rounds)
-    v.set("watchdog_rounds", JsonValue::uint(l.watchdog_rounds));
-  return v;
+template <typename S, std::size_t N>
+void decode_fields(Errors& errs, const Field<S> (&table)[N],
+                   const JsonValue& obj, const Path* parent, S* s) {
+  for (const auto& [key, value] : obj.entries()) {
+    const auto known = [&key](const Field<S>& f) { return key == f.key; };
+    if (std::none_of(std::begin(table), std::end(table), known))
+      fail(errs, Path{parent, key.c_str()}, "unknown field");
+  }
+  for (const Field<S>& f : table) {
+    const JsonValue* v = obj.find(f.key);
+    if (v == nullptr) continue;
+    const Path at{parent, f.key};
+    if (f.active(*s))
+      f.decode(errs, *v, at, s);
+    else
+      fail(errs, at, reason(f.why, *s));
+  }
 }
 
-bool family_has_workload(ScenarioFamily f) {
-  return f == ScenarioFamily::kConsensus || f == ScenarioFamily::kOmega ||
-         f == ScenarioFamily::kWeakset;
+template <typename S, std::size_t N>
+void check_fields(Errors& errs, const Field<S> (&table)[N], const S& s,
+                  const Path* parent) {
+  for (const Field<S>& f : table)
+    if (f.active(s)) f.check(errs, s, Path{parent, f.key}, f.range);
 }
 
-bool family_has_initial(ScenarioFamily f) {
-  return f == ScenarioFamily::kConsensus || f == ScenarioFamily::kOmega;
+template <typename S, std::size_t N>
+void decode_object(Errors& errs, const Field<S> (&table)[N],
+                   const JsonValue& v, const Path& at, S* s) {
+  if (v.is_object())
+    decode_fields(errs, table, v, &at, s);
+  else
+    fail(errs, at, "must be an object");
 }
+
+// ---- entry factories ----
+
+template <typename S, typename T>
+S owner_of(T S::*);
+template <auto M>
+using Owner = decltype(owner_of(M));
+
+// The struct's own member initializers are the only copy of its defaults.
+template <typename S>
+const S& defaults() {
+  static const S kDefaults{};
+  return kDefaults;
+}
+
+template <auto M, typename S>
+bool member_is_default(const S& s) {
+  return s.*M == defaults<S>().*M;
+}
+
+// A scalar, enum or scalar-list member.
+template <auto M, typename S = Owner<M>>
+constexpr Field<S> field(const char* key) {
+  return {key, [](const S& s) { return to_json(s.*M); },
+          [](Errors& errs, const JsonValue& v, const Path& at, S* s) {
+            from_json(errs, v, at, &(s->*M));
+          },
+          [](Errors& errs, const S& s, const Path& at, Range r) {
+            check_range(errs, s.*M, at, r);
+          },
+          member_is_default<M, S>};
+}
+
+// A member object described by its own table.
+template <auto M, const auto& Sub, typename S = Owner<M>>
+constexpr Field<S> object(const char* key) {
+  return {key, [](const S& s) { return encode_fields(Sub, s.*M); },
+          [](Errors& errs, const JsonValue& v, const Path& at, S* s) {
+            decode_object(errs, Sub, v, at, &(s->*M));
+          },
+          [](Errors& errs, const S& s, const Path& at, Range) {
+            check_fields(errs, Sub, s.*M, &at);
+          },
+          member_is_default<M, S>};
+}
+
+// A list of objects sharing one table.  A non-object element's diagnostic
+// spells out the table's keys.
+template <auto M, const auto& Sub, typename S = Owner<M>>
+constexpr Field<S> objects(const char* key) {
+  return {key,
+          [](const S& s) {
+            JsonValue arr = JsonValue::array();
+            for (const auto& e : s.*M) arr.push(encode_fields(Sub, e));
+            return arr;
+          },
+          [](Errors& errs, const JsonValue& v, const Path& at, S* s) {
+            if (!v.is_array()) return fail(errs, at, "must be an array");
+            auto& out = s->*M;
+            out.assign(v.items().size(), {});
+            for (std::size_t i = 0; i < out.size(); ++i) {
+              const Path elem{&at, nullptr, i};
+              if (v.items()[i].is_object()) {
+                decode_fields(errs, Sub, v.items()[i], &elem, &out[i]);
+                continue;
+              }
+              std::string keys;
+              for (const auto& f : Sub) keys += (keys.empty() ? "" : ", ") +
+                                                std::string(f.key);
+              fail(errs, elem, "must be an object {" + keys + "}");
+            }
+          },
+          [](Errors& errs, const S& s, const Path& at, Range) {
+            for (std::size_t i = 0; i < (s.*M).size(); ++i) {
+              const Path elem{&at, nullptr, i};
+              check_fields(errs, Sub, (s.*M)[i], &elem);
+            }
+          },
+          member_is_default<M, S>};
+}
+
+// A JSON object grouping members of the enclosing struct itself: the
+// flat ScenarioSpec's `env` and `workload`.  Always encoded.
+template <typename S, const auto& Sub>
+constexpr Field<S> group(const char* key) {
+  return {key, [](const S& s) { return encode_fields(Sub, s); },
+          [](Errors& errs, const JsonValue& v, const Path& at, S* s) {
+            decode_object(errs, Sub, v, at, s);
+          },
+          [](Errors& errs, const S& s, const Path& at, Range) {
+            check_fields(errs, Sub, s, &at);
+          },
+          nullptr};
+}
+
+// ---- the tables, innermost first ----
+
+bool has_base(const ValueGenSpec& g) {
+  return g.kind == ValueGenSpec::Kind::kDistinct ||
+         g.kind == ValueGenSpec::Kind::kIdentical ||
+         g.kind == ValueGenSpec::Kind::kCycle;
+}
+bool is_cycle(const ValueGenSpec& g) {
+  return g.kind == ValueGenSpec::Kind::kCycle;
+}
+bool is_explicit(const ValueGenSpec& g) {
+  return g.kind == ValueGenSpec::Kind::kExplicit;
+}
+
+// Consensus/omega proposals (workload.initial) and emulation probe seeds.
+constexpr Field<ValueGenSpec> kValueGenFields[] = {
+    field<&ValueGenSpec::kind>("kind"),
+    field<&ValueGenSpec::base>("base").only_if(has_base,
+                                               "not valid for this kind"),
+    field<&ValueGenSpec::period>("period")
+        .only_if(is_cycle, "only valid for kind \"cycle\"")
+        .must_be(Range::kAtLeastOne),
+    field<&ValueGenSpec::values>("values")
+        .only_if(is_explicit, "only valid for kind \"explicit\""),
+};
+
+bool explicit_crashes(const CrashGenSpec& c) {
+  return c.kind == CrashGenSpec::Kind::kExplicit;
+}
+bool random_crashes(const CrashGenSpec& c) {
+  return c.kind == CrashGenSpec::Kind::kRandom;
+}
+
+constexpr Field<CrashEntrySpec> kCrashEntryFields[] = {
+    field<&CrashEntrySpec::process>("process"),
+    field<&CrashEntrySpec::round>("round").must_be(Range::kOneBased),
+};
+
+constexpr Field<CrashGenSpec> kCrashFields[] = {
+    field<&CrashGenSpec::kind>("kind"),
+    objects<&CrashGenSpec::entries, kCrashEntryFields>("entries")
+        .only_if(explicit_crashes, "only valid for kind \"explicit\""),
+    field<&CrashGenSpec::count>("count")
+        .only_if(random_crashes, "only valid for kind \"random\""),
+    field<&CrashGenSpec::horizon>("horizon")
+        .only_if(random_crashes, "only valid for kind \"random\"")
+        .must_be(Range::kAtLeastOne),
+    field<&CrashGenSpec::seed_offset>("seed_offset")
+        .only_if(random_crashes, "only valid for kind \"random\""),
+};
+
+constexpr Field<ChurnSpec> kChurnFields[] = {
+    field<&ChurnSpec::process>("process"),
+    field<&ChurnSpec::leave>("leave").must_be(Range::kOneBased),
+    field<&ChurnSpec::rejoin>("rejoin").if_changed(),
+};
+
+// Defaults-elided field by field (and the object itself only attached to
+// env when anything differs), so fault-free specs never mention faults.
+constexpr Field<FaultParams> kFaultFields[] = {
+    field<&FaultParams::seed>("seed").if_changed(),
+    field<&FaultParams::loss_prob>("loss_prob").if_changed().must_be(
+        Range::kUnit),
+    field<&FaultParams::dup_prob>("dup_prob").if_changed().must_be(
+        Range::kUnit),
+    // A same-round copy would be invisible: inbox views are sets.
+    field<&FaultParams::dup_extra_delay>("dup_extra_delay")
+        .if_changed()
+        .must_be(Range::kAtLeastOne),
+    field<&FaultParams::reorder_prob>("reorder_prob")
+        .if_changed()
+        .must_be(Range::kUnit),
+    field<&FaultParams::max_extra_delay>("max_extra_delay").if_changed(),
+    field<&FaultParams::omission_senders>("omission_senders").if_changed(),
+    objects<&FaultParams::churn, kChurnFields>("churn").if_changed(),
+    field<&FaultParams::exempt_source>("exempt_source").if_changed(),
+};
+
+// Defaults-elided like the fault plan; only attached for transport "live".
+constexpr Field<LiveSpecSection> kLiveFields[] = {
+    field<&LiveSpecSection::socket>("socket").if_changed(),
+    field<&LiveSpecSection::period_ms>("period_ms")
+        .if_changed()
+        .must_be(Range::kAtLeastOne),
+    field<&LiveSpecSection::jitter_ms>("jitter_ms").if_changed(),
+    field<&LiveSpecSection::loss>("loss").if_changed().must_be(Range::kUnit),
+    field<&LiveSpecSection::op_timeout_ms>("op_timeout_ms")
+        .if_changed()
+        .must_be(Range::kAtLeastOne),
+    field<&LiveSpecSection::clients>("clients")
+        .if_changed()
+        .must_be(Range::kAtLeastOne),
+    field<&LiveSpecSection::watchdog_rounds>("watchdog_rounds").if_changed(),
+};
+
+bool observes_rounds(const ConsensusSpecSection& c) {
+  return c.probe != ConsensusSpecSection::Probe::kDecision;
+}
+
+// engine_threads and watchdog_rounds stay implicit at their defaults, so
+// specs written before either knob existed encode unchanged.
+constexpr Field<ConsensusSpecSection> kConsensusFields[] = {
+    field<&ConsensusSpecSection::algo>("algo"),
+    field<&ConsensusSpecSection::backend>("backend"),
+    field<&ConsensusSpecSection::engine_threads>("engine_threads")
+        .if_changed(),
+    field<&ConsensusSpecSection::schedule>("schedule"),
+    field<&ConsensusSpecSection::probe>("probe"),
+    field<&ConsensusSpecSection::horizon>("horizon")
+        .only_if(observes_rounds, "only valid for non-decision probes")
+        .must_be(Range::kAtLeastOne),
+    field<&ConsensusSpecSection::gc_counters>("gc_counters"),
+    field<&ConsensusSpecSection::max_rounds>("max_rounds")
+        .must_be(Range::kAtLeastOne),
+    field<&ConsensusSpecSection::watchdog_rounds>("watchdog_rounds")
+        .if_changed(),
+    field<&ConsensusSpecSection::record_trace>("record_trace"),
+    field<&ConsensusSpecSection::record_deliveries>("record_deliveries"),
+    field<&ConsensusSpecSection::validate_env>("validate_env"),
+};
+
+bool probes_convergence(const OmegaSpecSection& o) {
+  return o.probe == OmegaSpecSection::Probe::kLeaderConvergence;
+}
+
+constexpr Field<OmegaSpecSection> kOmegaFields[] = {
+    field<&OmegaSpecSection::probe>("probe"),
+    field<&OmegaSpecSection::silence_threshold>("silence_threshold"),
+    field<&OmegaSpecSection::horizon>("horizon")
+        .only_if(probes_convergence,
+                 "only valid for probe \"leader-convergence\"")
+        .must_be(Range::kAtLeastOne),
+    field<&OmegaSpecSection::max_rounds>("max_rounds")
+        .must_be(Range::kAtLeastOne),
+};
+
+bool is_mutation(const WeaksetOpSpec& op) { return op.is_mutation; }
+
+constexpr Field<WeaksetOpSpec> kWeaksetOpFields[] = {
+    field<&WeaksetOpSpec::round>("round").must_be(Range::kOneBased),
+    field<&WeaksetOpSpec::process>("process"),
+    field<&WeaksetOpSpec::is_mutation>("mutate"),
+    field<&WeaksetOpSpec::value>("value").only_if(is_mutation,
+                                                  "only valid for mutations"),
+};
+
+bool generated_ops(const WeaksetSpecSection& w) { return w.script.empty(); }
+
+constexpr Field<WeaksetSpecSection> kWeaksetFields[] = {
+    field<&WeaksetSpecSection::mode>("mode"),
+    field<&WeaksetSpecSection::backend>("backend").if_changed(),
+    field<&WeaksetSpecSection::engine_threads>("engine_threads").if_changed(),
+    objects<&WeaksetSpecSection::script, kWeaksetOpFields>("script")
+        .if_changed(),
+    field<&WeaksetSpecSection::gen_ops>("gen_ops")
+        .only_if(generated_ops, "mutually exclusive with an explicit script")
+        .must_be(Range::kAtLeastOne),
+    field<&WeaksetSpecSection::extra_rounds>("extra_rounds"),
+    field<&WeaksetSpecSection::validate_env>("validate_env"),
+    field<&WeaksetSpecSection::keep_records>("keep_records"),
+};
+
+constexpr Field<EmulationAddSpec> kEmulationAddFields[] = {
+    field<&EmulationAddSpec::process>("process"),
+    field<&EmulationAddSpec::value>("value"),
+};
+
+// backend, engine_threads, skew, adds, probe_values and certify stay
+// implicit at their defaults (probe_values' is the historical echo seeds
+// 0..n-1).
+constexpr Field<EmulationSpecSection> kEmulationFields[] = {
+    field<&EmulationSpecSection::inner>("inner"),
+    field<&EmulationSpecSection::engine>("engine"),
+    field<&EmulationSpecSection::backend>("backend").if_changed(),
+    field<&EmulationSpecSection::engine_threads>("engine_threads")
+        .if_changed(),
+    field<&EmulationSpecSection::rounds>("rounds").must_be(Range::kAtLeastOne),
+    field<&EmulationSpecSection::min_add_latency>("min_add_latency"),
+    field<&EmulationSpecSection::max_add_latency>("max_add_latency"),
+    field<&EmulationSpecSection::skew>("skew").if_changed().must_be(
+        Range::kAtLeastOne),
+    field<&EmulationSpecSection::max_ticks>("max_ticks"),
+    objects<&EmulationSpecSection::adds, kEmulationAddFields>("adds")
+        .if_changed(),
+    object<&EmulationSpecSection::probe_values, kValueGenFields>(
+        "probe_values")
+        .if_changed(),
+    field<&EmulationSpecSection::certify>("certify").if_changed(),
+};
+
+bool is_mwmr(const ShmSpecSection& s) {
+  return s.construction == ShmSpecSection::Construction::kMwmr;
+}
+
+constexpr Field<ShmSpecSection> kShmFields[] = {
+    field<&ShmSpecSection::construction>("construction"),
+    field<&ShmSpecSection::gen_ops>("gen_ops").must_be(Range::kAtLeastOne),
+    field<&ShmSpecSection::domain>("domain").must_be(Range::kAtLeastOne),
+    field<&ShmSpecSection::writers>("writers")
+        .only_if(is_mwmr, "only valid for construction \"mwmr\"")
+        .must_be(Range::kAtLeastOne),
+};
+
+constexpr Field<AbdSpecSection> kAbdFields[] = {
+    field<&AbdSpecSection::crash_prefix>("crash_prefix"),
+    field<&AbdSpecSection::write_value>("write_value"),
+};
+
+// EnvParams minus the seed, which comes from `seeds`.
+constexpr Field<ScenarioSpec> kEnvFields[] = {
+    field<&ScenarioSpec::env_kind>("kind"),
+    field<&ScenarioSpec::n>("n").must_be(Range::kAtLeastOne),
+    field<&ScenarioSpec::stabilization>("stabilization"),
+    field<&ScenarioSpec::max_delay>("max_delay"),
+    field<&ScenarioSpec::timely_prob>("timely_prob").must_be(Range::kUnit),
+    object<&ScenarioSpec::faults, kFaultFields>("faults").if_changed(),
+};
+
+bool has_workload(const ScenarioSpec& s) {
+  return s.family == ScenarioFamily::kConsensus ||
+         s.family == ScenarioFamily::kOmega ||
+         s.family == ScenarioFamily::kWeakset;
+}
+
+bool has_initial(const ScenarioSpec& s) {
+  return s.family == ScenarioFamily::kConsensus ||
+         s.family == ScenarioFamily::kOmega;
+}
+
+constexpr Field<ScenarioSpec> kWorkloadFields[] = {
+    object<&ScenarioSpec::initial, kValueGenFields>("initial")
+        .only_if(has_initial, "not valid for family \"{family}\""),
+    object<&ScenarioSpec::crashes, kCrashFields>("crashes"),
+};
+
+bool is_live(const ScenarioSpec& s) {
+  return s.transport == TransportKind::kLive;
+}
+
+template <ScenarioFamily F>
+bool is_family(const ScenarioSpec& s) {
+  return s.family == F;
+}
+
+// Exactly one family section is encoded: the spec's own.  Sim specs stay
+// byte-identical to their pre-live encoding: `transport` and `live` only
+// appear for the live backend.
+constexpr Field<ScenarioSpec> kSpecFields[] = {
+    field<&ScenarioSpec::name>("name"),
+    field<&ScenarioSpec::family>("family"),
+    field<&ScenarioSpec::seeds>("seeds"),
+    field<&ScenarioSpec::transport>("transport").if_changed(),
+    group<ScenarioSpec, kEnvFields>("env"),
+    object<&ScenarioSpec::live, kLiveFields>("live").if_changed().only_if(
+        is_live, "only valid for transport \"live\""),
+    group<ScenarioSpec, kWorkloadFields>("workload")
+        .only_if(has_workload, "not valid for family \"{family}\""),
+    object<&ScenarioSpec::consensus, kConsensusFields>("consensus")
+        .only_if(is_family<ScenarioFamily::kConsensus>,
+                 "section belongs to family \"consensus\" but this spec's "
+                 "family is \"{family}\""),
+    object<&ScenarioSpec::omega, kOmegaFields>("omega")
+        .only_if(is_family<ScenarioFamily::kOmega>,
+                 "section belongs to family \"omega\" but this spec's "
+                 "family is \"{family}\""),
+    object<&ScenarioSpec::weakset, kWeaksetFields>("weakset")
+        .only_if(is_family<ScenarioFamily::kWeakset>,
+                 "section belongs to family \"weakset\" but this spec's "
+                 "family is \"{family}\""),
+    object<&ScenarioSpec::emulation, kEmulationFields>("emulation")
+        .only_if(is_family<ScenarioFamily::kEmulation>,
+                 "section belongs to family \"emulation\" but this spec's "
+                 "family is \"{family}\""),
+    object<&ScenarioSpec::shm, kShmFields>("shm")
+        .only_if(is_family<ScenarioFamily::kWeaksetShm>,
+                 "section belongs to family \"weakset-shm\" but this spec's "
+                 "family is \"{family}\""),
+    object<&ScenarioSpec::abd, kAbdFields>("abd")
+        .only_if(is_family<ScenarioFamily::kAbd>,
+                 "section belongs to family \"abd\" but this spec's family "
+                 "is \"{family}\""),
+};
 
 }  // namespace
 
+// ---------------------------------------------------------- encode / decode --
+
 JsonValue encode_scenario_spec(const ScenarioSpec& spec) {
-  JsonValue doc = JsonValue::object();
-  doc.set("name", JsonValue::str(spec.name));
-  doc.set("family", JsonValue::str(to_string(spec.family)));
-  JsonValue seeds = JsonValue::array();
-  for (std::uint64_t s : spec.seeds) seeds.push(JsonValue::uint(s));
-  doc.set("seeds", std::move(seeds));
-  // Sim specs stay byte-identical: the transport key (and the live section
-  // below) only appear for the live backend.
-  if (spec.transport != TransportKind::kSim)
-    doc.set("transport",
-            JsonValue::str(enum_name(kTransportNames, spec.transport)));
-
-  JsonValue env = JsonValue::object();
-  env.set("kind", JsonValue::str(enum_name(kEnvKindNames, spec.env_kind)));
-  env.set("n", JsonValue::uint(spec.n));
-  env.set("stabilization", JsonValue::uint(spec.stabilization));
-  env.set("max_delay", JsonValue::uint(spec.max_delay));
-  env.set("timely_prob", JsonValue::number(spec.timely_prob));
-  if (spec.faults != FaultParams{})
-    env.set("faults", encode_faults(spec.faults));
-  doc.set("env", std::move(env));
-  if (spec.transport == TransportKind::kLive &&
-      !(spec.live == LiveSpecSection{}))
-    doc.set("live", encode_live(spec.live));
-
-  if (family_has_workload(spec.family)) {
-    JsonValue workload = JsonValue::object();
-    if (family_has_initial(spec.family))
-      workload.set("initial", encode_initial(spec.initial));
-    workload.set("crashes", encode_crashes(spec.crashes));
-    doc.set("workload", std::move(workload));
-  }
-
-  switch (spec.family) {
-    case ScenarioFamily::kConsensus:
-      doc.set("consensus", encode_consensus(spec.consensus));
-      break;
-    case ScenarioFamily::kOmega:
-      doc.set("omega", encode_omega(spec.omega));
-      break;
-    case ScenarioFamily::kWeakset:
-      doc.set("weakset", encode_weakset(spec.weakset));
-      break;
-    case ScenarioFamily::kEmulation:
-      doc.set("emulation", encode_emulation(spec.emulation));
-      break;
-    case ScenarioFamily::kWeaksetShm:
-      doc.set("shm", encode_shm(spec.shm));
-      break;
-    case ScenarioFamily::kAbd:
-      doc.set("abd", encode_abd(spec.abd));
-      break;
-  }
-  return doc;
+  return encode_fields(kSpecFields, spec);
 }
 
 std::string scenario_spec_to_json(const ScenarioSpec& spec) {
   return encode_scenario_spec(spec).dump() + "\n";
 }
-
-// ------------------------------------------------------------------ decode --
-
-namespace {
-
-// Typed field extraction with dotted-path diagnostics.  Absent fields keep
-// the struct's default (specs are sparse-friendly); present-but-mistyped
-// fields are errors.
-class Dec {
- public:
-  explicit Dec(std::vector<SpecError>* errs) : errs_(errs) {}
-
-  void err(const std::string& path, const std::string& msg) {
-    errs_->push_back({path, msg});
-  }
-
-  // Rejects keys outside `allowed` ("did you misspell…" surface).
-  void check_keys(const JsonValue& obj, const std::string& path,
-                  std::initializer_list<const char*> allowed) {
-    for (const auto& [k, v] : obj.entries()) {
-      bool ok = false;
-      for (const char* a : allowed)
-        if (k == a) ok = true;
-      if (!ok) err(join(path, k), "unknown field");
-    }
-  }
-
-  const JsonValue* object_field(const JsonValue& obj, const std::string& path,
-                                const char* key, bool required = false) {
-    const JsonValue* v = obj.find(key);
-    if (v == nullptr) {
-      if (required) err(join(path, key), "missing required object");
-      return nullptr;
-    }
-    if (!v->is_object()) {
-      err(join(path, key), "must be an object");
-      return nullptr;
-    }
-    return v;
-  }
-
-  const JsonValue* array_field(const JsonValue& obj, const std::string& path,
-                               const char* key) {
-    const JsonValue* v = obj.find(key);
-    if (v == nullptr) return nullptr;
-    if (!v->is_array()) {
-      err(join(path, key), "must be an array");
-      return nullptr;
-    }
-    return v;
-  }
-
-  bool get_string(const JsonValue& obj, const std::string& path,
-                  const char* key, std::string* out) {
-    const JsonValue* v = obj.find(key);
-    if (v == nullptr) return false;
-    if (!v->is_string()) {
-      err(join(path, key), "must be a string");
-      return false;
-    }
-    *out = v->as_string();
-    return true;
-  }
-
-  template <typename T>
-  void get_uint(const JsonValue& obj, const std::string& path, const char* key,
-                T* out) {
-    const JsonValue* v = obj.find(key);
-    if (v == nullptr) return;
-    if (!v->is_uint()) {
-      err(join(path, key), "must be a non-negative integer");
-      return;
-    }
-    *out = static_cast<T>(v->as_uint());
-  }
-
-  void get_int(const JsonValue& obj, const std::string& path, const char* key,
-               std::int64_t* out) {
-    const JsonValue* v = obj.find(key);
-    if (v == nullptr) return;
-    if (!v->is_int()) {
-      err(join(path, key), "must be an integer");
-      return;
-    }
-    *out = v->as_int();
-  }
-
-  void get_bool(const JsonValue& obj, const std::string& path, const char* key,
-                bool* out) {
-    const JsonValue* v = obj.find(key);
-    if (v == nullptr) return;
-    if (!v->is_bool()) {
-      err(join(path, key), "must be a boolean");
-      return;
-    }
-    *out = v->as_bool();
-  }
-
-  void get_double(const JsonValue& obj, const std::string& path,
-                  const char* key, double* out) {
-    const JsonValue* v = obj.find(key);
-    if (v == nullptr) return;
-    if (!v->is_number()) {
-      err(join(path, key), "must be a number");
-      return;
-    }
-    *out = v->as_double();
-  }
-
-  template <typename E, std::size_t N>
-  void get_enum(const JsonValue& obj, const std::string& path, const char* key,
-                const EnumName<E> (&table)[N], E* out) {
-    const JsonValue* v = obj.find(key);
-    if (v == nullptr) return;
-    if (!v->is_string()) {
-      err(join(path, key), "must be one of " + enum_choices(table));
-      return;
-    }
-    if (!enum_from_name(table, v->as_string(), out))
-      err(join(path, key), "unknown value \"" + v->as_string() +
-                               "\" — expected " + enum_choices(table));
-  }
-
-  static std::string join(const std::string& path, const std::string& key) {
-    return path.empty() ? key : path + "." + key;
-  }
-
- private:
-  std::vector<SpecError>* errs_;
-};
-
-void decode_initial(Dec& d, const JsonValue& obj, const std::string& path,
-                    ValueGenSpec* out) {
-  d.check_keys(obj, path, {"kind", "base", "period", "values"});
-  d.get_enum(obj, path, "kind", kValueGenNames, &out->kind);
-  d.get_int(obj, path, "base", &out->base);
-  d.get_uint(obj, path, "period", &out->period);
-  if (const JsonValue* arr = d.array_field(obj, path, "values")) {
-    out->values.clear();
-    for (std::size_t i = 0; i < arr->items().size(); ++i) {
-      const JsonValue& e = arr->items()[i];
-      if (!e.is_int()) {
-        d.err(path + ".values[" + std::to_string(i) + "]", "must be an integer");
-        continue;
-      }
-      out->values.push_back(e.as_int());
-    }
-  }
-  // Variant discipline keeps the encoding canonical.
-  const bool cycle = out->kind == ValueGenSpec::Kind::kCycle;
-  const bool expl = out->kind == ValueGenSpec::Kind::kExplicit;
-  const bool based = out->kind == ValueGenSpec::Kind::kDistinct ||
-                     out->kind == ValueGenSpec::Kind::kIdentical || cycle;
-  if (obj.find("period") != nullptr && !cycle)
-    d.err(path + ".period", "only valid for kind \"cycle\"");
-  if (obj.find("values") != nullptr && !expl)
-    d.err(path + ".values", "only valid for kind \"explicit\"");
-  if (obj.find("base") != nullptr && !based)
-    d.err(path + ".base", "not valid for this kind");
-}
-
-void decode_crashes(Dec& d, const JsonValue& obj, const std::string& path,
-                    CrashGenSpec* out) {
-  d.check_keys(obj, path, {"kind", "entries", "count", "horizon", "seed_offset"});
-  d.get_enum(obj, path, "kind", kCrashGenNames, &out->kind);
-  if (const JsonValue* arr = d.array_field(obj, path, "entries")) {
-    out->entries.clear();
-    for (std::size_t i = 0; i < arr->items().size(); ++i) {
-      const JsonValue& e = arr->items()[i];
-      const std::string epath = path + ".entries[" + std::to_string(i) + "]";
-      if (!e.is_object()) {
-        d.err(epath, "must be an object {process, round}");
-        continue;
-      }
-      d.check_keys(e, epath, {"process", "round"});
-      CrashEntrySpec entry;
-      d.get_uint(e, epath, "process", &entry.process);
-      d.get_uint(e, epath, "round", &entry.round);
-      out->entries.push_back(entry);
-    }
-  }
-  d.get_uint(obj, path, "count", &out->count);
-  d.get_uint(obj, path, "horizon", &out->horizon);
-  d.get_uint(obj, path, "seed_offset", &out->seed_offset);
-  const bool expl = out->kind == CrashGenSpec::Kind::kExplicit;
-  const bool random = out->kind == CrashGenSpec::Kind::kRandom;
-  if (obj.find("entries") != nullptr && !expl)
-    d.err(path + ".entries", "only valid for kind \"explicit\"");
-  for (const char* key : {"count", "horizon", "seed_offset"})
-    if (obj.find(key) != nullptr && !random)
-      d.err(path + "." + key, "only valid for kind \"random\"");
-}
-
-void decode_faults(Dec& d, const JsonValue& obj, const std::string& path,
-                   FaultParams* out) {
-  d.check_keys(obj, path,
-               {"seed", "loss_prob", "dup_prob", "dup_extra_delay",
-                "reorder_prob", "max_extra_delay", "omission_senders", "churn",
-                "exempt_source"});
-  d.get_uint(obj, path, "seed", &out->seed);
-  d.get_double(obj, path, "loss_prob", &out->loss_prob);
-  d.get_double(obj, path, "dup_prob", &out->dup_prob);
-  d.get_uint(obj, path, "dup_extra_delay", &out->dup_extra_delay);
-  d.get_double(obj, path, "reorder_prob", &out->reorder_prob);
-  d.get_uint(obj, path, "max_extra_delay", &out->max_extra_delay);
-  if (const JsonValue* arr = d.array_field(obj, path, "omission_senders")) {
-    out->omission_senders.clear();
-    for (std::size_t i = 0; i < arr->items().size(); ++i) {
-      const JsonValue& e = arr->items()[i];
-      if (!e.is_uint()) {
-        d.err(path + ".omission_senders[" + std::to_string(i) + "]",
-              "must be a non-negative integer");
-        continue;
-      }
-      out->omission_senders.push_back(static_cast<ProcId>(e.as_uint()));
-    }
-  }
-  if (const JsonValue* arr = d.array_field(obj, path, "churn")) {
-    out->churn.clear();
-    for (std::size_t i = 0; i < arr->items().size(); ++i) {
-      const JsonValue& e = arr->items()[i];
-      const std::string epath = path + ".churn[" + std::to_string(i) + "]";
-      if (!e.is_object()) {
-        d.err(epath, "must be an object {process, leave, rejoin}");
-        continue;
-      }
-      d.check_keys(e, epath, {"process", "leave", "rejoin"});
-      ChurnSpec c;
-      d.get_uint(e, epath, "process", &c.process);
-      d.get_uint(e, epath, "leave", &c.leave);
-      d.get_uint(e, epath, "rejoin", &c.rejoin);
-      out->churn.push_back(c);
-    }
-  }
-  d.get_bool(obj, path, "exempt_source", &out->exempt_source);
-}
-
-void decode_live(Dec& d, const JsonValue& obj, const std::string& path,
-                 LiveSpecSection* out) {
-  d.check_keys(obj, path,
-               {"socket", "period_ms", "jitter_ms", "loss", "op_timeout_ms",
-                "clients", "watchdog_rounds"});
-  d.get_enum(obj, path, "socket", kLiveSocketNames, &out->socket);
-  d.get_uint(obj, path, "period_ms", &out->period_ms);
-  d.get_uint(obj, path, "jitter_ms", &out->jitter_ms);
-  d.get_double(obj, path, "loss", &out->loss);
-  d.get_uint(obj, path, "op_timeout_ms", &out->op_timeout_ms);
-  d.get_uint(obj, path, "clients", &out->clients);
-  d.get_uint(obj, path, "watchdog_rounds", &out->watchdog_rounds);
-}
-
-void decode_consensus(Dec& d, const JsonValue& obj, const std::string& path,
-                      ConsensusSpecSection* out) {
-  d.check_keys(obj, path,
-               {"algo", "backend", "engine_threads", "schedule", "probe",
-                "horizon", "gc_counters", "max_rounds", "watchdog_rounds",
-                "record_trace", "record_deliveries", "validate_env"});
-  d.get_enum(obj, path, "algo", kAlgoNames, &out->algo);
-  d.get_enum(obj, path, "backend", kBackendNames, &out->backend);
-  d.get_uint(obj, path, "engine_threads", &out->engine_threads);
-  d.get_enum(obj, path, "schedule", kScheduleNames, &out->schedule);
-  d.get_enum(obj, path, "probe", kConsensusProbeNames, &out->probe);
-  d.get_uint(obj, path, "horizon", &out->horizon);
-  d.get_bool(obj, path, "gc_counters", &out->gc_counters);
-  d.get_uint(obj, path, "max_rounds", &out->max_rounds);
-  d.get_uint(obj, path, "watchdog_rounds", &out->watchdog_rounds);
-  d.get_bool(obj, path, "record_trace", &out->record_trace);
-  d.get_bool(obj, path, "record_deliveries", &out->record_deliveries);
-  d.get_bool(obj, path, "validate_env", &out->validate_env);
-  if (obj.find("horizon") != nullptr &&
-      out->probe == ConsensusSpecSection::Probe::kDecision)
-    d.err(path + ".horizon", "only valid for non-decision probes");
-}
-
-void decode_omega(Dec& d, const JsonValue& obj, const std::string& path,
-                  OmegaSpecSection* out) {
-  d.check_keys(obj, path, {"probe", "silence_threshold", "horizon", "max_rounds"});
-  d.get_enum(obj, path, "probe", kOmegaProbeNames, &out->probe);
-  d.get_uint(obj, path, "silence_threshold", &out->silence_threshold);
-  d.get_uint(obj, path, "horizon", &out->horizon);
-  d.get_uint(obj, path, "max_rounds", &out->max_rounds);
-  if (obj.find("horizon") != nullptr &&
-      out->probe != OmegaSpecSection::Probe::kLeaderConvergence)
-    d.err(path + ".horizon", "only valid for probe \"leader-convergence\"");
-}
-
-void decode_weakset(Dec& d, const JsonValue& obj, const std::string& path,
-                    WeaksetSpecSection* out) {
-  d.check_keys(obj, path, {"mode", "backend", "engine_threads", "script",
-                           "gen_ops", "extra_rounds", "validate_env",
-                           "keep_records"});
-  d.get_enum(obj, path, "mode", kWeaksetModeNames, &out->mode);
-  d.get_enum(obj, path, "backend", kWsBackendNames, &out->backend);
-  d.get_uint(obj, path, "engine_threads", &out->engine_threads);
-  if (const JsonValue* arr = d.array_field(obj, path, "script")) {
-    out->script.clear();
-    for (std::size_t i = 0; i < arr->items().size(); ++i) {
-      const JsonValue& e = arr->items()[i];
-      const std::string epath = path + ".script[" + std::to_string(i) + "]";
-      if (!e.is_object()) {
-        d.err(epath, "must be an object {round, process, mutate, value}");
-        continue;
-      }
-      d.check_keys(e, epath, {"round", "process", "mutate", "value"});
-      WeaksetOpSpec op;
-      d.get_uint(e, epath, "round", &op.round);
-      d.get_uint(e, epath, "process", &op.process);
-      d.get_bool(e, epath, "mutate", &op.is_mutation);
-      d.get_int(e, epath, "value", &op.value);
-      if (e.find("value") != nullptr && !op.is_mutation)
-        d.err(epath + ".value", "only valid for mutations");
-      out->script.push_back(op);
-    }
-  }
-  d.get_uint(obj, path, "gen_ops", &out->gen_ops);
-  d.get_uint(obj, path, "extra_rounds", &out->extra_rounds);
-  d.get_bool(obj, path, "validate_env", &out->validate_env);
-  d.get_bool(obj, path, "keep_records", &out->keep_records);
-  if (obj.find("script") != nullptr && obj.find("gen_ops") != nullptr)
-    d.err(path + ".gen_ops", "mutually exclusive with an explicit script");
-}
-
-void decode_emulation(Dec& d, const JsonValue& obj, const std::string& path,
-                      EmulationSpecSection* out) {
-  d.check_keys(obj, path, {"inner", "engine", "backend", "engine_threads",
-                           "rounds", "min_add_latency", "max_add_latency",
-                           "skew", "max_ticks", "adds", "probe_values",
-                           "certify"});
-  d.get_enum(obj, path, "inner", kEmuInnerNames, &out->inner);
-  d.get_enum(obj, path, "engine", kEmuEngineNames, &out->engine);
-  d.get_enum(obj, path, "backend", kEmuBackendNames, &out->backend);
-  d.get_uint(obj, path, "engine_threads", &out->engine_threads);
-  d.get_uint(obj, path, "rounds", &out->rounds);
-  d.get_uint(obj, path, "min_add_latency", &out->min_add_latency);
-  d.get_uint(obj, path, "max_add_latency", &out->max_add_latency);
-  if (const JsonValue* arr = d.array_field(obj, path, "skew")) {
-    out->skew.clear();
-    for (std::size_t i = 0; i < arr->items().size(); ++i) {
-      const JsonValue& e = arr->items()[i];
-      if (!e.is_uint()) {
-        d.err(path + ".skew[" + std::to_string(i) + "]",
-              "must be a non-negative integer");
-        continue;
-      }
-      out->skew.push_back(e.as_uint());
-    }
-  }
-  d.get_uint(obj, path, "max_ticks", &out->max_ticks);
-  if (const JsonValue* arr = d.array_field(obj, path, "adds")) {
-    out->adds.clear();
-    for (std::size_t i = 0; i < arr->items().size(); ++i) {
-      const JsonValue& e = arr->items()[i];
-      const std::string epath = path + ".adds[" + std::to_string(i) + "]";
-      if (!e.is_object()) {
-        d.err(epath, "must be an object {process, value}");
-        continue;
-      }
-      d.check_keys(e, epath, {"process", "value"});
-      EmulationAddSpec add;
-      d.get_uint(e, epath, "process", &add.process);
-      d.get_int(e, epath, "value", &add.value);
-      out->adds.push_back(add);
-    }
-  }
-  if (const JsonValue* pv = d.object_field(obj, path, "probe_values"))
-    decode_initial(d, *pv, path + ".probe_values", &out->probe_values);
-  d.get_bool(obj, path, "certify", &out->certify);
-}
-
-void decode_shm(Dec& d, const JsonValue& obj, const std::string& path,
-                ShmSpecSection* out) {
-  d.check_keys(obj, path, {"construction", "gen_ops", "domain", "writers"});
-  d.get_enum(obj, path, "construction", kShmNames, &out->construction);
-  d.get_uint(obj, path, "gen_ops", &out->gen_ops);
-  d.get_uint(obj, path, "domain", &out->domain);
-  d.get_uint(obj, path, "writers", &out->writers);
-  if (obj.find("writers") != nullptr &&
-      out->construction != ShmSpecSection::Construction::kMwmr)
-    d.err(path + ".writers", "only valid for construction \"mwmr\"");
-}
-
-void decode_abd(Dec& d, const JsonValue& obj, const std::string& path,
-                AbdSpecSection* out) {
-  d.check_keys(obj, path, {"crash_prefix", "write_value"});
-  d.get_uint(obj, path, "crash_prefix", &out->crash_prefix);
-  d.get_int(obj, path, "write_value", &out->write_value);
-}
-
-}  // namespace
 
 std::string SpecDecodeResult::errors_to_string() const {
   std::ostringstream os;
@@ -918,116 +866,13 @@ std::string SpecDecodeResult::errors_to_string() const {
 
 SpecDecodeResult decode_scenario_spec(const JsonValue& doc) {
   SpecDecodeResult res;
-  Dec d(&res.errors);
   if (!doc.is_object()) {
-    d.err("", "spec must be a JSON object");
+    res.errors.push_back({"", "spec must be a JSON object"});
     return res;
   }
   ScenarioSpec spec;
-  d.check_keys(doc, "",
-               {"name", "family", "seeds", "transport", "live", "env",
-                "workload", "consensus", "omega", "weakset", "emulation",
-                "shm", "abd"});
-  d.get_string(doc, "", "name", &spec.name);
-  d.get_enum(doc, "", "family", kFamilyNames, &spec.family);
-  d.get_enum(doc, "", "transport", kTransportNames, &spec.transport);
-  if (const JsonValue* live = d.object_field(doc, "", "live")) {
-    if (spec.transport != TransportKind::kLive)
-      d.err("live", "only valid for transport \"live\"");
-    else
-      decode_live(d, *live, "live", &spec.live);
-  }
-  if (const JsonValue* arr = d.array_field(doc, "", "seeds")) {
-    spec.seeds.clear();
-    for (std::size_t i = 0; i < arr->items().size(); ++i) {
-      const JsonValue& e = arr->items()[i];
-      if (!e.is_uint()) {
-        d.err("seeds[" + std::to_string(i) + "]",
-              "must be a non-negative integer");
-        continue;
-      }
-      spec.seeds.push_back(e.as_uint());
-    }
-  }
-  if (const JsonValue* env = d.object_field(doc, "", "env")) {
-    d.check_keys(*env, "env",
-                 {"kind", "n", "stabilization", "max_delay", "timely_prob",
-                  "faults"});
-    d.get_enum(*env, "env", "kind", kEnvKindNames, &spec.env_kind);
-    d.get_uint(*env, "env", "n", &spec.n);
-    d.get_uint(*env, "env", "stabilization", &spec.stabilization);
-    d.get_uint(*env, "env", "max_delay", &spec.max_delay);
-    d.get_double(*env, "env", "timely_prob", &spec.timely_prob);
-    if (const JsonValue* faults = d.object_field(*env, "env", "faults"))
-      decode_faults(d, *faults, "env.faults", &spec.faults);
-  }
-  if (const JsonValue* workload = d.object_field(doc, "", "workload")) {
-    if (!family_has_workload(spec.family)) {
-      d.err("workload", std::string("not valid for family \"") +
-                            to_string(spec.family) + "\"");
-    } else {
-      d.check_keys(*workload, "workload", {"initial", "crashes"});
-      if (const JsonValue* initial =
-              d.object_field(*workload, "workload", "initial")) {
-        if (!family_has_initial(spec.family))
-          d.err("workload.initial", std::string("not valid for family \"") +
-                                        to_string(spec.family) + "\"");
-        else
-          decode_initial(d, *initial, "workload.initial", &spec.initial);
-      }
-      if (const JsonValue* crashes =
-              d.object_field(*workload, "workload", "crashes"))
-        decode_crashes(d, *crashes, "workload.crashes", &spec.crashes);
-    }
-  }
-
-  struct SectionSlot {
-    const char* key;
-    ScenarioFamily family;
-  };
-  constexpr SectionSlot kSections[] = {
-      {"consensus", ScenarioFamily::kConsensus},
-      {"omega", ScenarioFamily::kOmega},
-      {"weakset", ScenarioFamily::kWeakset},
-      {"emulation", ScenarioFamily::kEmulation},
-      {"shm", ScenarioFamily::kWeaksetShm},
-      {"abd", ScenarioFamily::kAbd},
-  };
-  for (const auto& slot : kSections) {
-    const JsonValue* section = d.object_field(doc, "", slot.key);
-    if (section == nullptr) continue;
-    if (slot.family != spec.family) {
-      d.err(slot.key, std::string("section belongs to family \"") +
-                          to_string(slot.family) + "\" but this spec's family is \"" +
-                          to_string(spec.family) + "\"");
-      continue;
-    }
-    switch (spec.family) {
-      case ScenarioFamily::kConsensus:
-        decode_consensus(d, *section, slot.key, &spec.consensus);
-        break;
-      case ScenarioFamily::kOmega:
-        decode_omega(d, *section, slot.key, &spec.omega);
-        break;
-      case ScenarioFamily::kWeakset:
-        decode_weakset(d, *section, slot.key, &spec.weakset);
-        break;
-      case ScenarioFamily::kEmulation:
-        decode_emulation(d, *section, slot.key, &spec.emulation);
-        break;
-      case ScenarioFamily::kWeaksetShm:
-        decode_shm(d, *section, slot.key, &spec.shm);
-        break;
-      case ScenarioFamily::kAbd:
-        decode_abd(d, *section, slot.key, &spec.abd);
-        break;
-    }
-  }
-
-  if (res.errors.empty()) {
-    auto validation = validate_scenario_spec(spec);
-    res.errors.insert(res.errors.end(), validation.begin(), validation.end());
-  }
+  decode_fields(res.errors, kSpecFields, doc, nullptr, &spec);
+  if (res.errors.empty()) res.errors = validate_scenario_spec(spec);
   if (res.errors.empty()) res.spec = std::move(spec);
   return res;
 }
@@ -1044,6 +889,28 @@ SpecDecodeResult parse_scenario_spec(std::string_view json_text) {
   return decode_scenario_spec(*parsed.value);
 }
 
+std::vector<SpecError> set_scenario_field(ScenarioSpec* spec,
+                                          std::string_view path,
+                                          std::string_view text) {
+  auto parsed = JsonValue::parse(text);
+  JsonValue doc = parsed.value.has_value() ? std::move(*parsed.value)
+                                           : JsonValue::str(std::string(text));
+  // Nest the value under the path's keys, innermost first, and decode that
+  // sparse document onto the spec: every other field keeps its value.
+  for (std::size_t end = path.size();;) {
+    const std::size_t dot = path.substr(0, end).rfind('.');
+    const std::size_t begin = dot == std::string_view::npos ? 0 : dot + 1;
+    JsonValue obj = JsonValue::object();
+    obj.set(std::string(path.substr(begin, end - begin)), std::move(doc));
+    doc = std::move(obj);
+    if (dot == std::string_view::npos) break;
+    end = dot;
+  }
+  Errors errs;
+  decode_fields(errs, kSpecFields, doc, nullptr, spec);
+  return errs;
+}
+
 // ---------------------------------------------------------------- validate --
 
 bool family_live_supported(ScenarioFamily f) {
@@ -1058,11 +925,19 @@ std::vector<SpecError> validate_scenario_spec(const ScenarioSpec& spec) {
   auto err = [&](const std::string& path, const std::string& msg) {
     errs.push_back({path, msg});
   };
+  const std::string env_n = "env.n = " + std::to_string(spec.n);
+  auto out_of_range = [&](std::size_t p) {
+    return "process " + std::to_string(p) + " out of range (" + env_n + ")";
+  };
+  auto size_mismatch = [&](std::size_t size) {
+    return "has " + std::to_string(size) + " entries but env.n is " +
+           std::to_string(spec.n);
+  };
 
+  // Single-field ranges come from the tables; the cross-field rules below
+  // are hand-written.
+  check_fields(errs, kSpecFields, spec, nullptr);
   if (spec.seeds.empty()) err("seeds", "at least one seed is required");
-  if (spec.n == 0) err("env.n", "must be >= 1");
-  if (spec.timely_prob < 0 || spec.timely_prob > 1)
-    err("env.timely_prob", "must be in [0, 1]");
 
   // Live transport consistency.
   if (spec.transport == TransportKind::kLive) {
@@ -1091,16 +966,11 @@ std::vector<SpecError> validate_scenario_spec(const ScenarioSpec& spec) {
         err("weakset.script", "live adds are generated (weakset.gen_ops "
                               "spread across live.clients) — leave empty");
     }
-    const LiveSpecSection& l = spec.live;
-    if (l.loss < 0 || l.loss > 1) err("live.loss", "must be in [0, 1]");
-    if (l.loss > 0 && l.socket == LiveSpecSection::Socket::kTcp)
+    if (spec.live.loss > 0 && spec.live.socket == LiveSpecSection::Socket::kTcp)
       err("live.loss",
           "TCP inbound cannot attribute senders, so the exempt-source "
           "safety contract is unenforceable under loss — use socket "
           "\"udp\"");
-    if (l.period_ms == 0) err("live.period_ms", "must be >= 1");
-    if (l.clients == 0) err("live.clients", "must be >= 1");
-    if (l.op_timeout_ms == 0) err("live.op_timeout_ms", "must be >= 1");
   } else if (!(spec.live == LiveSpecSection{})) {
     err("live", "only valid for transport \"live\"");
   }
@@ -1108,31 +978,17 @@ std::vector<SpecError> validate_scenario_spec(const ScenarioSpec& spec) {
   // Fault plan consistency (env.faults).
   {
     const FaultParams& f = spec.faults;
-    for (const auto& [key, prob] :
-         {std::pair<const char*, double>{"loss_prob", f.loss_prob},
-          {"dup_prob", f.dup_prob},
-          {"reorder_prob", f.reorder_prob}})
-      if (prob < 0 || prob > 1)
-        err(std::string("env.faults.") + key, "must be in [0, 1]");
-    if (f.dup_extra_delay == 0)
-      err("env.faults.dup_extra_delay",
-          "must be >= 1 (inbox views are sets — a same-round copy would be "
-          "invisible)");
     if (f.reorder_prob > 0 && f.max_extra_delay == 0)
       err("env.faults.max_extra_delay", "must be >= 1 when reorder_prob > 0");
     for (std::size_t i = 0; i < f.omission_senders.size(); ++i)
       if (f.omission_senders[i] >= spec.n)
         err("env.faults.omission_senders[" + std::to_string(i) + "]",
-            "process " + std::to_string(f.omission_senders[i]) +
-                " out of range (env.n = " + std::to_string(spec.n) + ")");
+            out_of_range(f.omission_senders[i]));
     for (std::size_t i = 0; i < f.churn.size(); ++i) {
       const ChurnSpec& c = f.churn[i];
       const std::string path = "env.faults.churn[" + std::to_string(i) + "]";
       if (c.process >= spec.n)
-        err(path + ".process", "process " + std::to_string(c.process) +
-                                   " out of range (env.n = " +
-                                   std::to_string(spec.n) + ")");
-      if (c.leave == 0) err(path + ".leave", "rounds are 1-based");
+        err(path + ".process", out_of_range(c.process));
       if (c.rejoin != 0 && c.rejoin <= c.leave)
         err(path + ".rejoin",
             "must be > leave (or 0 for a permanent departure)");
@@ -1175,17 +1031,10 @@ std::vector<SpecError> validate_scenario_spec(const ScenarioSpec& spec) {
   }
 
   // Workload consistency.
-  if (family_has_initial(spec.family)) {
-    if (spec.initial.kind == ValueGenSpec::Kind::kExplicit &&
-        spec.initial.values.size() != spec.n)
-      err("workload.initial.values",
-          "has " + std::to_string(spec.initial.values.size()) +
-              " entries but env.n is " + std::to_string(spec.n));
-    if (spec.initial.kind == ValueGenSpec::Kind::kCycle &&
-        spec.initial.period == 0)
-      err("workload.initial.period", "must be >= 1 for kind \"cycle\"");
-  }
-  if (family_has_workload(spec.family)) {
+  if (has_initial(spec) && spec.initial.kind == ValueGenSpec::Kind::kExplicit &&
+      spec.initial.values.size() != spec.n)
+    err("workload.initial.values", size_mismatch(spec.initial.values.size()));
+  if (has_workload(spec)) {
     if (spec.crashes.kind == CrashGenSpec::Kind::kExplicit) {
       std::set<std::size_t> victims;
       for (std::size_t i = 0; i < spec.crashes.entries.size(); ++i) {
@@ -1193,26 +1042,18 @@ std::vector<SpecError> validate_scenario_spec(const ScenarioSpec& spec) {
         const std::string path =
             "workload.crashes.entries[" + std::to_string(i) + "]";
         if (e.process >= spec.n)
-          err(path + ".process", "process " + std::to_string(e.process) +
-                                     " out of range (env.n = " +
-                                     std::to_string(spec.n) + ")");
+          err(path + ".process", out_of_range(e.process));
         else
           victims.insert(e.process);
-        if (e.round == 0) err(path + ".round", "rounds are 1-based");
       }
       if (victims.size() >= spec.n)
         err("workload.crashes.entries",
-            "must leave at least one correct process (env.n = " +
-                std::to_string(spec.n) + ")");
+            "must leave at least one correct process (" + env_n + ")");
     }
-    if (spec.crashes.kind == CrashGenSpec::Kind::kRandom) {
-      if (spec.crashes.count >= spec.n)
-        err("workload.crashes.count",
-            "must leave at least one correct process (env.n = " +
-                std::to_string(spec.n) + ")");
-      if (spec.crashes.horizon == 0)
-        err("workload.crashes.horizon", "must be >= 1");
-    }
+    if (spec.crashes.kind == CrashGenSpec::Kind::kRandom &&
+        spec.crashes.count >= spec.n)
+      err("workload.crashes.count",
+          "must leave at least one correct process (" + env_n + ")");
   }
 
   switch (spec.family) {
@@ -1238,15 +1079,14 @@ std::vector<SpecError> validate_scenario_spec(const ScenarioSpec& spec) {
           c.schedule == ConsensusSpecSection::Schedule::kBivalentUntilGst;
       if (bivalent && spec.initial.kind != ValueGenSpec::Kind::kBivalent)
         err("workload.initial.kind",
-            std::string("schedule \"") +
-                enum_name(kScheduleNames, c.schedule) +
+            std::string("schedule \"") + enum_name(c.schedule) +
                 "\" requires kind \"bivalent\"");
       if (bivalent && spec.n < 3)
         err("env.n", "the two-camp schedules need env.n >= 3 (one camp-A "
                      "process and at least two in camp B)");
       if (adversarial && c.algo != ConsensusAlgo::kEs)
         err("consensus.algo",
-            std::string("schedule \"") + enum_name(kScheduleNames, c.schedule) +
+            std::string("schedule \"") + enum_name(c.schedule) +
                 "\" drives Algorithm 2 — set algo \"es\"");
       if (spec.initial.kind == ValueGenSpec::Kind::kBivalent &&
           c.schedule != ConsensusSpecSection::Schedule::kBivalentMs &&
@@ -1256,10 +1096,8 @@ std::vector<SpecError> validate_scenario_spec(const ScenarioSpec& spec) {
       if (c.probe != ConsensusSpecSection::Probe::kDecision) {
         if (c.algo != ConsensusAlgo::kEss)
           err("consensus.algo",
-              std::string("probe \"") +
-                  enum_name(kConsensusProbeNames, c.probe) +
+              std::string("probe \"") + enum_name(c.probe) +
                   "\" observes Algorithm 3 — set algo \"ess\"");
-        if (c.horizon == 0) err("consensus.horizon", "must be >= 1");
         if (adversarial)
           err("consensus.schedule",
               "non-decision probes run on the env schedule");
@@ -1276,7 +1114,6 @@ std::vector<SpecError> validate_scenario_spec(const ScenarioSpec& spec) {
             "environment certification replays the recorded trace — set "
             "consensus.record_trace = true and consensus.record_deliveries = "
             "true");
-      if (c.max_rounds == 0) err("consensus.max_rounds", "must be >= 1");
       if (adversarial && spec.crashes.kind != CrashGenSpec::Kind::kNone)
         err("workload.crashes.kind",
             "adversarial schedules run crash-free (the schedule is the "
@@ -1285,31 +1122,21 @@ std::vector<SpecError> validate_scenario_spec(const ScenarioSpec& spec) {
     }
     case ScenarioFamily::kOmega: {
       const auto& o = spec.omega;
-      if (o.probe == OmegaSpecSection::Probe::kLeaderConvergence) {
-        if (o.horizon == 0) err("omega.horizon", "must be >= 1");
-        if (spec.env_kind != EnvKind::kESS)
-          err("env.kind",
-              "the leader-convergence probe measures stabilization on the "
-              "eventual source — only ESS has one; set \"ess\"");
-      }
-      if (o.max_rounds == 0) err("omega.max_rounds", "must be >= 1");
+      if (o.probe == OmegaSpecSection::Probe::kLeaderConvergence &&
+          spec.env_kind != EnvKind::kESS)
+        err("env.kind",
+            "the leader-convergence probe measures stabilization on the "
+            "eventual source — only ESS has one; set \"ess\"");
       break;
     }
     case ScenarioFamily::kWeakset: {
       // Any MS-class environment is fine (ES/ESS are strictly stronger
       // than the MS assumption Algorithm 4 needs).
       const auto& w = spec.weakset;
-      if (w.script.empty() && w.gen_ops == 0)
-        err("weakset.gen_ops", "an empty script needs gen_ops >= 1");
-      for (std::size_t i = 0; i < w.script.size(); ++i) {
-        const auto& op = w.script[i];
-        const std::string path = "weakset.script[" + std::to_string(i) + "]";
-        if (op.process >= spec.n)
-          err(path + ".process", "process " + std::to_string(op.process) +
-                                     " out of range (env.n = " +
-                                     std::to_string(spec.n) + ")");
-        if (op.round == 0) err(path + ".round", "rounds are 1-based");
-      }
+      for (std::size_t i = 0; i < w.script.size(); ++i)
+        if (w.script[i].process >= spec.n)
+          err("weakset.script[" + std::to_string(i) + "].process",
+              out_of_range(w.script[i].process));
       if (w.mode == WeaksetSpecSection::Mode::kRegister && spec.n < 3 &&
           w.gen_ops > 0)
         err("env.n", "the generated register workload reads via process 2 — "
@@ -1327,23 +1154,16 @@ std::vector<SpecError> validate_scenario_spec(const ScenarioSpec& spec) {
       if (spec.stabilization != 0)
         err("env.stabilization", "the emulated environment has no GST — must "
                                  "be 0");
-      if (e.rounds == 0) err("emulation.rounds", "must be >= 1");
       if (e.min_add_latency > e.max_add_latency)
         err("emulation.min_add_latency", "must be <= max_add_latency");
       if (!e.skew.empty() && e.skew.size() != spec.n)
-        err("emulation.skew", "has " + std::to_string(e.skew.size()) +
-                                  " entries but env.n is " +
-                                  std::to_string(spec.n));
-      for (std::size_t i = 0; i < e.skew.size(); ++i)
-        if (e.skew[i] == 0)
-          err("emulation.skew[" + std::to_string(i) + "]", "must be >= 1");
+        err("emulation.skew", size_mismatch(e.skew.size()));
       if (!e.adds.empty() && e.inner != EmulationSpecSection::Inner::kWeakset)
         err("emulation.adds", "only valid for inner \"weakset\"");
       for (std::size_t i = 0; i < e.adds.size(); ++i)
         if (e.adds[i].process >= spec.n)
           err("emulation.adds[" + std::to_string(i) + "].process",
-              "process " + std::to_string(e.adds[i].process) +
-                  " out of range (env.n = " + std::to_string(spec.n) + ")");
+              out_of_range(e.adds[i].process));
       if (e.backend == EmulationSpecSection::Backend::kCohort) {
         if (e.engine != EmulationSpecSection::Engine::kInterned)
           err("emulation.engine",
@@ -1353,38 +1173,25 @@ std::vector<SpecError> validate_scenario_spec(const ScenarioSpec& spec) {
           err("emulation.certify",
               "backend \"cohort\" records no trace to certify — set false");
       }
-      if (!(e.probe_values == kDefaultProbeValues)) {
+      if (!(e.probe_values == defaults<EmulationSpecSection>().probe_values)) {
         if (e.inner != EmulationSpecSection::Inner::kEcho)
           err("emulation.probe_values", "only valid for inner \"echo\"");
         if (e.probe_values.kind == ValueGenSpec::Kind::kBivalent)
           err("emulation.probe_values.kind",
               "\"bivalent\" shapes consensus proposals, not probe seeds");
-        if (e.probe_values.kind == ValueGenSpec::Kind::kCycle &&
-            e.probe_values.period == 0)
-          err("emulation.probe_values.period",
-              "must be >= 1 for kind \"cycle\"");
         if (e.probe_values.kind == ValueGenSpec::Kind::kExplicit &&
             e.probe_values.values.size() != spec.n)
           err("emulation.probe_values.values",
-              "has " + std::to_string(e.probe_values.values.size()) +
-                  " entries but env.n is " + std::to_string(spec.n));
+              size_mismatch(e.probe_values.values.size()));
       }
       break;
     }
-    case ScenarioFamily::kWeaksetShm: {
-      const auto& s = spec.shm;
-      if (s.gen_ops == 0) err("shm.gen_ops", "must be >= 1");
-      if (s.domain == 0) err("shm.domain", "must be >= 1");
-      if (s.construction == ShmSpecSection::Construction::kMwmr &&
-          s.writers == 0)
-        err("shm.writers", "must be >= 1");
-      break;
-    }
+    case ScenarioFamily::kWeaksetShm:
+      break;  // single-field ranges only
     case ScenarioFamily::kAbd: {
       if (spec.abd.crash_prefix >= spec.n)
         err("abd.crash_prefix",
-            "must leave at least one live process (env.n = " +
-                std::to_string(spec.n) + ")");
+            "must leave at least one live process (" + env_n + ")");
       break;
     }
   }

@@ -330,4 +330,14 @@ SpecDecodeResult parse_scenario_spec(std::string_view json_text);
 // Validation only (already-built specs — benches construct specs in code).
 std::vector<SpecError> validate_scenario_spec(const ScenarioSpec& spec);
 
+// Sets the one field at a dotted JSON path ("env.faults.loss_prob",
+// "consensus.engine_threads") from command-line text, parsed and diagnosed
+// exactly like the same value in a spec file.  The text is read as JSON,
+// or as a string when it is not JSON ("cohort").  Every other field keeps
+// its value and nothing is validated; returns the decode diagnostics
+// (empty on success).
+std::vector<SpecError> set_scenario_field(ScenarioSpec* spec,
+                                          std::string_view path,
+                                          std::string_view text);
+
 }  // namespace anon

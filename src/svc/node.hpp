@@ -16,7 +16,7 @@
 //     frames, retransmitted every round until a majority answers — the
 //     ID-based baseline, see frame.hpp).
 //
-// Ingress faults: every peer frame passes the runtime bus's JitterPolicy
+// Ingress faults: every peer frame passes svc/jitter.hpp's JitterPolicy
 // (same hash-fate coin as the simulator's FaultPlan loss knob); dropped
 // frames count as fault_drops, delayed ones sit in a due-queue.  ES
 // safety is unconditional, so agreement/validity survive any loss rate —
@@ -38,8 +38,9 @@
 
 #include "algo/es_consensus.hpp"
 #include "giraf/process.hpp"
-#include "runtime/bus.hpp"
+#include "runtime/codec.hpp"
 #include "svc/frame.hpp"
+#include "svc/jitter.hpp"
 #include "svc/pacemaker.hpp"
 #include "svc/transport.hpp"
 #include "weakset/ms_weak_set.hpp"

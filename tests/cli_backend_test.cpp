@@ -1,6 +1,7 @@
 // The anonsim CLI's backend surface: `describe` states each preset's
 // backend support, and `run --backend cohort` flips the trace switches and
-// produces byte-identical reports for the weakset and emulation families.
+// produces the expanded engine's reports for the consensus, weakset and
+// emulation families.
 // These tests spawn the real binary (built next to the test in the build
 // tree) and skip when it has not been built yet.
 #include <gtest/gtest.h>
@@ -9,6 +10,8 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+
+#include "scenario/json.hpp"
 
 namespace {
 
@@ -92,6 +95,45 @@ TEST(CliBackend, EmulationCohortRunMatchesModuloCertification) {
        (pos = normalized.find("\"ms_certified\": true")) != std::string::npos;)
     normalized.replace(pos, 20, "\"ms_certified\": false");
   EXPECT_EQ(normalized, cohort.output);
+}
+
+// A report without the cohort engine's own class counters.
+anon::JsonValue without_cohort_counters(const anon::JsonValue& v) {
+  if (v.is_object()) {
+    anon::JsonValue out = anon::JsonValue::object();
+    for (const auto& [key, x] : v.entries())
+      if (key != "cohorts_max" && key != "cohorts_final")
+        out.set(key, without_cohort_counters(x));
+    return out;
+  }
+  if (v.is_array()) {
+    anon::JsonValue out = anon::JsonValue::array();
+    for (const auto& x : v.items()) out.push(without_cohort_counters(x));
+    return out;
+  }
+  return v;
+}
+
+TEST(CliBackend, ConsensusCohortRunMatchesExpanded) {
+  REQUIRE_ANONSIM();
+  // Both engines report the same cells, `bytes` included: every engine
+  // instantiation sees the one MessageSizeOf<ValueSet>.  Only the cohort
+  // engine's class counters are extra.
+  for (const std::string preset : {"e1-fast", "e14-fast"}) {
+    SCOPED_TRACE(preset);
+    const std::string run =
+        "./anonsim run --preset " + preset + " --quiet --no-timing";
+    const auto expanded = run_cmd(run);
+    const auto cohort = run_cmd(run + " --backend cohort");
+    ASSERT_EQ(expanded.rc, 0);
+    ASSERT_EQ(cohort.rc, 0);
+    const auto a = anon::JsonValue::parse(expanded.output);
+    const auto b = anon::JsonValue::parse(cohort.output);
+    ASSERT_TRUE(a.value.has_value()) << a.error;
+    ASSERT_TRUE(b.value.has_value()) << b.error;
+    EXPECT_EQ(without_cohort_counters(*a.value).dump(),
+              without_cohort_counters(*b.value).dump());
+  }
 }
 
 TEST(CliBackend, EngineThreadsComposeWithTheCohortBackend) {

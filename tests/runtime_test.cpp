@@ -1,7 +1,9 @@
-// Wire codecs, the broadcast bus, and the threaded real-time clusters.
-#include "runtime/realtime.hpp"
+// Wire codecs and the live ingress policy.
+#include "runtime/codec.hpp"
 
 #include <gtest/gtest.h>
+
+#include "svc/jitter.hpp"
 
 namespace anon {
 namespace {
@@ -78,33 +80,19 @@ TEST(EssCodec, RejectsGarbage) {
   EXPECT_FALSE(decode_ess_message({'S'}, &rx).has_value());
 }
 
-// ---------- bus ----------
+// ---------- live ingress policy ----------
 
-TEST(BroadcastBus, DeliversToAllSubscribers) {
-  BroadcastBus bus(3);
-  bus.broadcast({1, 2, 3});
-  for (std::size_t s = 0; s < 3; ++s) {
-    auto msgs = bus.drain(s);
-    ASSERT_EQ(msgs.size(), 1u);
-    EXPECT_EQ(msgs[0], (Bytes{1, 2, 3}));
-  }
-  EXPECT_TRUE(bus.drain(0).empty());  // drained
-  EXPECT_EQ(bus.broadcasts(), 1u);
+TEST(JitterPolicy, LossPolicyDrops) {
+  JitterPolicy policy(1, std::chrono::milliseconds(0), /*loss=*/1.0);
+  for (std::size_t subscriber = 0; subscriber < 2; ++subscriber)
+    EXPECT_FALSE(policy.delivery_delay(subscriber).has_value());
 }
 
-TEST(BroadcastBus, LossPolicyDrops) {
-  BroadcastBus bus(2, std::make_unique<JitterPolicy>(
-                          1, std::chrono::milliseconds(0), /*loss=*/1.0));
-  bus.broadcast({9});
-  EXPECT_TRUE(bus.drain(0).empty());
-  EXPECT_TRUE(bus.drain(1).empty());
-}
-
-// The bus's loss knob and the simulator's FaultPlan share one coin: the
+// The live loss knob and the simulator's FaultPlan share one coin: the
 // JitterPolicy verdict sequence is exactly the hash_chance draws over the
 // fault_stream_seed-derived stream.  Pins the unification so the two
 // backends can't silently drift apart.
-TEST(BroadcastBus, JitterLossMatchesFaultStreamHash) {
+TEST(JitterPolicy, JitterLossMatchesFaultStreamHash) {
   const std::uint64_t seed = 42;
   const double loss = 0.5;
   JitterPolicy policy(seed, std::chrono::milliseconds(0), loss);
@@ -117,81 +105,6 @@ TEST(BroadcastBus, JitterLossMatchesFaultStreamHash) {
   }
   EXPECT_GT(drops, 0u);    // the coin actually flips both ways
   EXPECT_LT(drops, 256u);
-}
-
-// ---------- real-time clusters (threads + wall clock) ----------
-
-TEST(RealtimeCluster, EsConsensusDecidesOverTheBus) {
-  const std::size_t n = 4;
-  BroadcastBus bus(n, std::make_unique<JitterPolicy>(
-                          7, std::chrono::milliseconds(1)));
-  std::vector<RealtimeEsCluster::AutomatonFactory> factories;
-  for (std::size_t i = 0; i < n; ++i)
-    factories.push_back([i](HistoryArena*) {
-      return std::make_unique<EsConsensus>(Value(10 + static_cast<std::int64_t>(i)));
-    });
-  RealtimeOptions opt;
-  opt.round_period = std::chrono::milliseconds(8);  // >> jitter: ES holds
-  opt.max_rounds = 500;
-  RealtimeEsCluster cluster(std::move(factories), &bus, opt);
-  ASSERT_TRUE(cluster.run());
-  std::optional<Value> v;
-  for (std::size_t p = 0; p < n; ++p) {
-    auto d = cluster.decision(p);
-    ASSERT_TRUE(d.has_value());
-    if (!v) v = d;
-    EXPECT_EQ(*v, *d);  // agreement
-    EXPECT_GE(d->get(), 10);
-    EXPECT_LE(d->get(), 13);  // validity
-  }
-}
-
-TEST(RealtimeCluster, EssConsensusDecidesOverTheBus) {
-  const std::size_t n = 3;
-  BroadcastBus bus(n, std::make_unique<JitterPolicy>(
-                          11, std::chrono::milliseconds(1)));
-  std::vector<RealtimeEssCluster::AutomatonFactory> factories;
-  for (std::size_t i = 0; i < n; ++i)
-    factories.push_back([i](HistoryArena* arena) {
-      return std::make_unique<EssConsensus>(
-          Value(100 + static_cast<std::int64_t>(i)), arena);
-    });
-  RealtimeOptions opt;
-  opt.round_period = std::chrono::milliseconds(8);
-  opt.max_rounds = 500;
-  RealtimeEssCluster cluster(std::move(factories), &bus, opt);
-  ASSERT_TRUE(cluster.run());
-  std::optional<Value> v;
-  for (std::size_t p = 0; p < n; ++p) {
-    auto d = cluster.decision(p);
-    ASSERT_TRUE(d.has_value());
-    if (!v) v = d;
-    EXPECT_EQ(*v, *d);
-  }
-}
-
-TEST(RealtimeCluster, ToleratesThreadCrash) {
-  const std::size_t n = 4;
-  BroadcastBus bus(n);
-  std::vector<RealtimeEsCluster::AutomatonFactory> factories;
-  for (std::size_t i = 0; i < n; ++i)
-    factories.push_back([i](HistoryArena*) {
-      return std::make_unique<EsConsensus>(Value(static_cast<std::int64_t>(i)));
-    });
-  RealtimeOptions opt;
-  opt.round_period = std::chrono::milliseconds(6);
-  opt.max_rounds = 500;
-  RealtimeEsCluster cluster(std::move(factories), &bus, opt);
-  cluster.crash_before_round(0, 3);  // dies early
-  ASSERT_TRUE(cluster.run());
-  EXPECT_FALSE(cluster.decision(0).has_value());
-  std::optional<Value> v;
-  for (std::size_t p = 1; p < n; ++p) {
-    auto d = cluster.decision(p);
-    ASSERT_TRUE(d.has_value());
-    if (!v) v = d;
-    EXPECT_EQ(*v, *d);
-  }
 }
 
 }  // namespace

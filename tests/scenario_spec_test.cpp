@@ -75,6 +75,185 @@ TEST(ScenarioSpecJson, HandwrittenSpecRoundTrips) {
   EXPECT_EQ(scenario_spec_to_json(*decoded.spec), encoded);
 }
 
+// Valid hand-built specs that between them move every field of every
+// section off its default and make every list non-empty.  No preset sets
+// live.socket, live.clients, live.op_timeout_ms, emulation.adds,
+// emulation.skew or weakset.script, so these are what catch a field
+// missing from the spec tables, or listed before the sibling its
+// predicate reads.
+std::vector<ScenarioSpec> every_field_specs() {
+  std::vector<ScenarioSpec> specs;
+
+  // Fault plan, random crashes, cycle proposals, cohort backend.
+  ScenarioSpec faults;
+  faults.name = "faults";
+  faults.family = ScenarioFamily::kConsensus;
+  faults.seeds = {5, 6};
+  faults.env_kind = EnvKind::kESS;
+  faults.n = 6;
+  faults.stabilization = 4;
+  faults.max_delay = 5;
+  faults.timely_prob = 0.5;
+  faults.faults = {99, 0.125, 0.25, 2, 0.5, 3, {1}, {{0, 3, 8}, {2, 5, 0}},
+                   false};
+  faults.initial = {ValueGenSpec::Kind::kCycle, 7, 2, {}};
+  faults.crashes.kind = CrashGenSpec::Kind::kRandom;
+  faults.crashes.count = 2;
+  faults.crashes.horizon = 9;
+  faults.crashes.seed_offset = 11;
+  faults.consensus.algo = ConsensusAlgo::kEss;
+  faults.consensus.backend = ConsensusBackend::kCohort;
+  faults.consensus.engine_threads = 3;
+  faults.consensus.gc_counters = true;
+  faults.consensus.max_rounds = 5000;
+  faults.consensus.watchdog_rounds = 400;
+  faults.consensus.record_trace = false;
+  specs.push_back(faults);
+
+  // Adversarial schedule with the full certified trace.
+  ScenarioSpec bivalent;
+  bivalent.name = "bivalent";
+  bivalent.env_kind = EnvKind::kMS;
+  bivalent.n = 5;
+  bivalent.initial.kind = ValueGenSpec::Kind::kBivalent;
+  bivalent.consensus.schedule = ConsensusSpecSection::Schedule::kBivalentMs;
+  bivalent.consensus.record_deliveries = true;
+  bivalent.consensus.validate_env = true;
+  specs.push_back(bivalent);
+
+  // A non-decision probe, explicit proposals and explicit crashes.
+  ScenarioSpec growth;
+  growth.name = "growth";
+  growth.n = 4;
+  growth.initial = {ValueGenSpec::Kind::kExplicit, 100, 0, {4, -2, 9, 1}};
+  growth.crashes.kind = CrashGenSpec::Kind::kExplicit;
+  growth.crashes.entries = {{1, 3}, {2, 7}};
+  growth.consensus.algo = ConsensusAlgo::kEss;
+  growth.consensus.probe = ConsensusSpecSection::Probe::kStateGrowth;
+  growth.consensus.horizon = 50;
+  specs.push_back(growth);
+
+  // Live consensus: every live field but the socket (loss needs UDP).
+  ScenarioSpec live;
+  live.name = "live";
+  live.transport = TransportKind::kLive;
+  live.n = 5;
+  live.live = {LiveSpecSection::Socket::kUdp, 2, 1, 0.2, 500, 2, 30};
+  specs.push_back(live);
+
+  // Live ABD over TCP.
+  ScenarioSpec tcp;
+  tcp.name = "tcp";
+  tcp.family = ScenarioFamily::kAbd;
+  tcp.transport = TransportKind::kLive;
+  tcp.live.socket = LiveSpecSection::Socket::kTcp;
+  tcp.abd = {1, -4};
+  specs.push_back(tcp);
+
+  ScenarioSpec omega;
+  omega.name = "omega";
+  omega.family = ScenarioFamily::kOmega;
+  omega.env_kind = EnvKind::kESS;
+  omega.initial = {ValueGenSpec::Kind::kIdentical, 5, 0, {}};
+  omega.omega = {OmegaSpecSection::Probe::kLeaderConvergence, 3, 120, 900};
+  specs.push_back(omega);
+
+  // Scripted register ops on the cohort engine.
+  ScenarioSpec script;
+  script.name = "script";
+  script.family = ScenarioFamily::kWeakset;
+  script.env_kind = EnvKind::kMS;
+  script.n = 4;
+  script.weakset.mode = WeaksetSpecSection::Mode::kRegister;
+  script.weakset.backend = WeaksetSpecSection::Backend::kCohort;
+  script.weakset.engine_threads = 2;
+  script.weakset.script = {{2, 0, true, 7}, {9, 3, false, 0}};
+  script.weakset.extra_rounds = 20;
+  script.weakset.validate_env = false;
+  script.weakset.keep_records = true;
+  specs.push_back(script);
+
+  ScenarioSpec gen_ops;
+  gen_ops.name = "gen-ops";
+  gen_ops.family = ScenarioFamily::kWeakset;
+  gen_ops.weakset.gen_ops = 6;
+  specs.push_back(gen_ops);
+
+  // The weak-set inner on the reference engine, with skew and adds.
+  ScenarioSpec adds;
+  adds.name = "adds";
+  adds.family = ScenarioFamily::kEmulation;
+  adds.env_kind = EnvKind::kMS;
+  adds.n = 3;
+  adds.emulation.inner = EmulationSpecSection::Inner::kWeakset;
+  adds.emulation.engine = EmulationSpecSection::Engine::kRef;
+  adds.emulation.rounds = 12;
+  adds.emulation.min_add_latency = 2;
+  adds.emulation.max_add_latency = 4;
+  adds.emulation.skew = {1, 3, 2};
+  adds.emulation.max_ticks = 5000;
+  adds.emulation.adds = {{0, 8}, {2, -1}};
+  adds.emulation.certify = false;
+  specs.push_back(adds);
+
+  // Echo probes with bounded seeds on the cohort engine.
+  ScenarioSpec probes;
+  probes.name = "probes";
+  probes.family = ScenarioFamily::kEmulation;
+  probes.env_kind = EnvKind::kMS;
+  probes.emulation.backend = EmulationSpecSection::Backend::kCohort;
+  probes.emulation.engine_threads = 2;
+  probes.emulation.probe_values = {ValueGenSpec::Kind::kCycle, 3, 2, {}};
+  probes.emulation.certify = false;
+  specs.push_back(probes);
+
+  ScenarioSpec shm;
+  shm.name = "shm";
+  shm.family = ScenarioFamily::kWeaksetShm;
+  shm.shm = {ShmSpecSection::Construction::kMwmr, 20, 5, 3};
+  specs.push_back(shm);
+  return specs;
+}
+
+TEST(ScenarioSpecJson, EveryFieldRoundTripsByteIdentically) {
+  for (const ScenarioSpec& spec : every_field_specs()) {
+    SCOPED_TRACE(spec.name);
+    const auto errors = validate_scenario_spec(spec);
+    ASSERT_TRUE(errors.empty()) << errors[0].to_string();
+    const std::string encoded = scenario_spec_to_json(spec);
+    auto decoded = parse_scenario_spec(encoded);
+    ASSERT_TRUE(decoded.ok()) << decoded.errors_to_string();
+    EXPECT_TRUE(*decoded.spec == spec) << encoded;
+    EXPECT_EQ(scenario_spec_to_json(*decoded.spec), encoded);
+  }
+}
+
+TEST(ScenarioSpecJson, SetFieldDecodesLikeASpecFile) {
+  // One dotted path, decoded through the spec tables: other fields keep
+  // their values, and a bad value gets the spec file's diagnostic.
+  ScenarioSpec spec;
+  spec.n = 7;
+  EXPECT_TRUE(
+      set_scenario_field(&spec, "env.faults.loss_prob", "0.25").empty());
+  EXPECT_TRUE(set_scenario_field(&spec, "consensus.backend", "cohort").empty());
+  EXPECT_EQ(spec.faults.loss_prob, 0.25);
+  EXPECT_EQ(spec.consensus.backend, ConsensusBackend::kCohort);
+  EXPECT_EQ(spec.n, 7u);
+
+  const std::vector<SpecError> number = {
+      {"env.faults.loss_prob", "must be a number"}};
+  EXPECT_EQ(set_scenario_field(&spec, "env.faults.loss_prob", "high"), number);
+  const std::vector<SpecError> unknown = {
+      {"env.faults.bogus", "unknown field"}};
+  EXPECT_EQ(set_scenario_field(&spec, "env.faults.bogus", "1"), unknown);
+
+  spec.family = ScenarioFamily::kAbd;
+  const auto wrong =
+      set_scenario_field(&spec, "consensus.watchdog_rounds", "5");
+  ASSERT_EQ(wrong.size(), 1u);
+  EXPECT_EQ(wrong[0].path, "consensus");
+}
+
 TEST(ScenarioSpecJson, EngineThreadsRoundTripsAndDefaultsStayImplicit) {
   // engine_threads is encoded only when != 1, so every pre-existing spec
   // and golden stays byte-identical; a non-default value round-trips.

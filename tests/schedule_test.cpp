@@ -208,13 +208,15 @@ TEST(Lockstep, MetricsCountPerMessageOnEveryLink) {
   // sends and bytes_sent are both per message per link, so their ratio is
   // the true mean wire size even for multi-message batches (E10).  Here
   // every batch is a single ValueSet, all delivered before the run stops:
-  // 2 waves × 3 processes × 2 links.
+  // 2 waves × 3 processes × 2 links.  A ValueSet's wire size is
+  // MessageSizeOf<ValueSet> = 16 + 8·|set|: the first wave carries 6
+  // one-value sets (24 B), the second 6 three-value sets (40 B).
   SynchronousDelays delays;
   LockstepNet<ValueSet> net(collectors(3), delays, CrashPlan{});
   net.run_rounds(2);
   EXPECT_EQ(net.sends(), 12u);
   EXPECT_EQ(net.deliveries(), net.sends());
-  EXPECT_EQ(net.bytes_sent(), net.sends() * sizeof(ValueSet));
+  EXPECT_EQ(net.bytes_sent(), 6u * 24 + 6u * 40);
 }
 
 TEST(Lockstep, MaxRoundsStopsRun) {
