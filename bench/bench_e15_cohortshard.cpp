@@ -38,7 +38,7 @@ using bench::run_scenario;
 // E15.a: distinct proposals keep every process in its own class, so the
 // cohort engine's per-round cost is the full O(C²) compute/delivery wave —
 // the part the shards absorb.  Fixed 8-shard decomposition across the
-// thread ladder, mirroring E13.a's protocol.
+// thread ladder, so every rung runs the same shard layout.
 ConsensusConfig e15a_config(std::size_t n, std::size_t engine_threads) {
   ConsensusConfig cfg;
   cfg.env.kind = EnvKind::kES;

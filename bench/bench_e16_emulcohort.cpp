@@ -12,14 +12,10 @@
 // drops to the O(n) observe/setup passes.
 //
 //   E16.a  weak-set A/B at n=4096: e16-ws-cohort's workload on the
-//          expanded vs the cohort backend, interleaved, reports verified
-//          byte-identical before any timing.  This is the committed
-//          ≥100× number.  The serial expanded engine is the reference —
-//          it schedules all Θ(n²) per-link calendar entries each round —
-//          so the byte-identity check runs on the sharded expanded
-//          engine instead (same bytes by PR 6's wave contract, but its
-//          uniform-delay pregroup path skips the per-link fan-out), and
-//          the sharded wall clock is reported alongside for honesty.
+//          expanded vs the cohort backend, interleaved, and the two timed
+//          runs' reports verified byte-identical.  This is the committed
+//          ≥100× number.  The expanded engine is the serial reference —
+//          it schedules all Θ(n²) per-link calendar entries each round.
 //   E16.b  weak-set cohort-only scale ladder to n=10^5.
 //   E16.c  emulation A/B over n ∈ {32, 128, 512, 1024} — the expanded
 //          engine records a Θ(r·n²) trace (every delivery to every
@@ -66,41 +62,27 @@ bool identical_reports(const ScenarioReport& a, const ScenarioReport& b) {
 void print_tables() {
   // ---- E16.a: weak-set expanded vs cohort at n=4096 ------------------------
   const std::size_t n_a = bench::smoke() ? 512 : 4096;
-  double ws_expanded_s = 0, ws_sharded_s = 0, ws_cohort_s = 0;
+  double ws_expanded_s = 0, ws_cohort_s = 0;
   {
-    // Byte-identity gate on the cheap engines: the sharded expanded wave
-    // produces the serial engine's exact bytes (verified by the cohort
-    // equivalence suites at small n, where the serial engine is feasible)
-    // without its Θ(n²) calendar, so verification here does not cost a
-    // second multi-minute serial run.
-    ScenarioSpec sharded = ws_spec(n_a, false);
-    sharded.weakset.engine_threads = 4;
-    const ScenarioReport ref = run_scenario(sharded, 1);
-    const ScenarioReport coh = run_scenario(ws_spec(n_a, true), 1);
+    // The committed number: serial expanded vs cohort, interleaved once
+    // (the expanded run is the multi-minute side; more reps buy nothing).
+    // The timed runs' own reports are the byte-identity gate.
+    ScenarioReport ref, coh;
+    const bench::AbSeconds ab = bench::interleaved_ab_seconds(
+        1, [&] { ref = run_scenario(ws_spec(n_a, false), 1); },
+        [&] { coh = run_scenario(ws_spec(n_a, true), 1); });
     ANON_CHECK_MSG(!ref.weakset_cells.empty() &&
                        ref.weakset_cells[0].spec_ok,
                    "E16.a weak-set run must satisfy the spec");
     ANON_CHECK_MSG(identical_reports(ref, coh),
                    "E16.a cohort report must be byte-identical to expanded");
-    // The committed number: serial expanded vs cohort, interleaved once
-    // (the serial run is the multi-minute side; more reps buy nothing).
-    const bench::AbSeconds ab = bench::interleaved_ab_seconds(
-        1, [&] { run_scenario(ws_spec(n_a, false), 1); },
-        [&] { run_scenario(ws_spec(n_a, true), 1); });
     ws_expanded_s = ab.a;
     ws_cohort_s = ab.b;
-    ws_sharded_s = bench::best_seconds(3, [&] { run_scenario(sharded, 1); });
     Table t("E16.a  weak-set backend A/B, e16-ws-cohort workload n=" +
                 Table::num(static_cast<std::uint64_t>(n_a)) +
-                " (serial expanded vs cohort interleaved; sharded expanded "
-                "best-of-3 for reference)",
+                " (expanded vs cohort, interleaved)",
             {"backend", "wall-clock s", "speedup", "reports identical"});
-    t.add_row({"expanded (serial)", Table::num(ws_expanded_s, 3), "1.00x",
-               "-"});
-    t.add_row({"expanded (sharded)", Table::num(ws_sharded_s, 3),
-               Table::ratio(ws_sharded_s > 0 ? ws_expanded_s / ws_sharded_s
-                                             : 0.0),
-               "yes"});
+    t.add_row({"expanded", Table::num(ws_expanded_s, 3), "1.00x", "-"});
     t.add_row({"cohort", Table::num(ws_cohort_s, 3), Table::ratio(ab.ratio()),
                "yes"});
     t.print();
@@ -189,11 +171,8 @@ void print_tables() {
                       "expanded-vs-cohort A/B + cohort scale ladders"));
     j.set("a_n", static_cast<std::uint64_t>(n_a));
     j.set("a_wall_expanded_s", ws_expanded_s);
-    j.set("a_wall_expanded_sharded_s", ws_sharded_s);
     j.set("a_wall_cohort_s", ws_cohort_s);
     j.set("a_speedup", ws_cohort_s > 0 ? ws_expanded_s / ws_cohort_s : 0.0);
-    j.set("a_speedup_vs_sharded",
-          ws_cohort_s > 0 ? ws_sharded_s / ws_cohort_s : 0.0);
     j.set("b_n_max", static_cast<std::uint64_t>(ladder_b.back()));
     j.set("b_wall_nmax_s", ws_scale_s.back());
     j.set("c_n_max", static_cast<std::uint64_t>(ladder_c.back()));

@@ -8,13 +8,15 @@
 //
 // Multi-seed specs shard across worker threads (--threads, default: one
 // per hardware thread); the report is identical at any thread count.
-// Consensus, weakset and emulation specs additionally parallelize inside
-// each run on either backend (--engine-threads, default: the spec's own
-// value; 0 = one per hardware thread) — also byte-identical at any
-// setting.  --backend switches those families between the expanded and
-// cohort engines (cohort turns the trace surfaces off — validate_env,
-// certify, record_trace — since it never materializes per-process
-// traces); `anonsim describe` notes each preset's backend support.
+// Consensus, weakset and emulation specs on the cohort backend
+// additionally parallelize inside each run (--engine-threads, default: the
+// spec's own value; 0 = one per hardware thread) — also byte-identical at
+// any setting; the expanded engines are serial, so any value but 1 there
+// is an invalid spec.  --backend switches those families between the
+// expanded and cohort engines (cohort turns the trace surfaces off —
+// validate_env, certify, record_trace — since it never materializes
+// per-process traces); `anonsim describe` notes each preset's backend
+// support.
 // Fault injection (env/faults.hpp) can be layered onto any consensus spec
 // from the command line: `--faults loss_prob=0.1,reorder_prob=0.2` patches
 // env.faults fields after the spec loads (list-valued fields —

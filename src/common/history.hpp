@@ -89,7 +89,7 @@ class History {
 
 // Interning arena.  One arena per simulation; `append` is internally
 // synchronized so the automatons of one simulation may share the arena
-// even when the engine shards them across worker threads (LockstepNet
+// even when the engine shards them across worker threads (CohortNet
 // with engine_threads > 1).  Interning stays canonical under the lock —
 // the (parent, value) map admits one node per key regardless of which
 // thread got there first — so pointer equality ⇔ structural equality

@@ -1,7 +1,8 @@
-// Contiguous balanced shard partitions, shared by the round engines.
+// Contiguous balanced shard partitions, shared by the cohort engines.
 //
-// Both engines partition an index space [0, count) into at most `shards`
-// contiguous ranges and fan the ranges out over the worker pool.  The
+// CohortNet and MsEmulationCohort partition their class list [0, count)
+// into at most `shards` contiguous ranges and fan the ranges out over the
+// worker pool.  The
 // partition is an identity decision, never an observable one: every
 // order-sensitive fold replays serially in index order at the barriers, so
 // ANY contiguous cover of [0, count) yields byte-identical results.  That
@@ -14,8 +15,7 @@
 // ceil(remaining_weight / remaining_shards), always taking at least one
 // item and always leaving one per later shard.  For uniform weights this
 // reproduces the classic base/rem layout exactly (the first count % shards
-// ranges are one item wider) — LockstepNet relies on that to keep its
-// two-branch arithmetic shard_of() lookup valid.
+// ranges are one item wider).
 #pragma once
 
 #include <algorithm>

@@ -2,8 +2,8 @@
 // (see DESIGN.md, "core layer").
 //
 // Two clients share the pool: grid sweeps (`parallel_sweep`, one cell per
-// index) and intra-run shard waves (`LockstepNet` with engine_threads > 1,
-// one shard per index).  A single process-wide pool, sized once and reused
+// index) and intra-run shard waves (`CohortNet` and `MsEmulationCohort`
+// with engine_threads > 1, one shard per index).  A single process-wide pool, sized once and reused
 // across calls, replaces the old spawn-threads-per-sweep pattern and makes
 // the no-oversubscription rule structural: a `parallel_for` issued from
 // *inside* a pool job runs inline on the calling thread, so a sweep whose

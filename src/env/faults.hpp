@@ -6,8 +6,8 @@
 // messages, senders can be omission-faulty (alive but with dead outbound
 // links), and processes leave and rejoin.  `FaultPlan` layers those faults
 // on top of a DelayModel *without touching protocol code*: every fault is
-// a pure function of (fault seed, round, sender, receiver), so the serial,
-// sharded, and cohort engines compute identical fates and reports stay
+// a pure function of (fault seed, round, sender, receiver), so the
+// expanded and cohort engines compute identical fates and reports stay
 // byte-identical at every thread/shard count.
 //
 // Fault taxonomy (all per-link, decided at the sender's end-of-round):
@@ -101,8 +101,8 @@ std::uint64_t fault_stream_seed(std::uint64_t run_seed,
                                 std::uint64_t plan_seed);
 
 // A compiled fault plan for one run.  Stateless after construction;
-// `fate` is pure in (round, sender, receiver), so any engine — serial,
-// sharded, cohort — computes identical verdicts in any order.
+// `fate` is pure in (round, sender, receiver), so any engine — expanded,
+// or cohort at any shard count — computes identical verdicts in any order.
 class FaultPlan {
  public:
   FaultPlan() = default;

@@ -210,7 +210,7 @@ class InboxView {
 // intern without allocating.  Promotion preserves the one-object-per-
 // content-per-round invariant the engines rely on: all interns of a round
 // for the same content still return the same pointer, and promoted batches
-// appear in `fresh()` exactly like new ones, so the sharded barriers'
+// appear in `fresh()` exactly like new ones, so the cohort engine's
 // cross-shard canonicalization sees them.
 template <typename M>
 class BatchInterner {
@@ -255,9 +255,9 @@ class BatchInterner {
   }
 
   // Payloads that became canonical (new or promoted) since the last
-  // round_reset, in first-intern order.  The sharded engines run one
-  // interner per shard and merge them at the round barrier: each shard's
-  // fresh list is re-canonicalized against a global digest map so
+  // round_reset, in first-intern order.  The sharded cohort engine runs
+  // one interner per shard and merges them at the round barrier: each
+  // shard's fresh list is re-canonicalized across shards so
   // content-equal batches from senders in different shards still collapse
   // to one object network-wide, exactly as a single interner does.
   const std::vector<SharedBatch<M>>& fresh() const { return fresh_; }

@@ -47,24 +47,22 @@
 //    comparison — classes whose members became indistinguishable (e.g.
 //    distinct proposals converging on the decided value) re-collapse.
 //
-// Execution modes, mirroring LockstepNet (see DESIGN.md, "Sharded cohort
-// execution"):
-//
-//  * Serial reference (engine_threads == 1, engine_shards <= 1): one thread
-//    walks all classes — the differential oracle.
-//  * Sharded: classes are partitioned into contiguous shards over the
-//    process-wide WorkerPool.  Each round, the *compute wave* (one
-//    representative end-of-round + per-shard intern per class), the
-//    *delivery fan-out* (each class applies the round's broadcasts), the
-//    merge pass's digest loop and the reindex loops run shard-parallel;
-//    a serial barrier after the compute wave canonicalizes freshly interned
-//    payloads by content digest across shards — one object per content
-//    network-wide, so the split signatures' pointer-identity-is-content-
-//    identity invariant survives sharding — and everything order-sensitive
-//    (calendar scheduling, transport counters, crash bookkeeping, split and
-//    merge structure) replays serially in class order, byte-for-byte the
-//    serial engine's fold.  Reports are byte-identical at every
-//    thread/shard count (tests/cohort_net_test.cpp).
+// Sharded waves (see DESIGN.md, "Sharded cohort waves"): classes are
+// partitioned into contiguous shards (`engine_shards`, default one per
+// `engine_threads` participant).  Each round, the *compute wave* (one
+// representative end-of-round + per-shard intern per class), the alive
+// count, the *delivery fan-out* (each class applies the round's
+// broadcasts), the merge pass's digest loop, the decision stamps and the
+// reindex loop run per shard; a barrier after the compute wave
+// canonicalizes freshly interned payloads by content digest across shards
+// — one object per content network-wide, so the split signatures'
+// pointer-identity-is-content-identity invariant survives sharding — and
+// everything order-sensitive (calendar scheduling, transport counters,
+// crash bookkeeping, split and merge structure) replays serially in class
+// order.  Reports are byte-identical at every thread/shard count
+// (tests/cohort_net_test.cpp).  One shard IS the serial engine: there is
+// no second copy of any wave, and the expanded `LockstepNet` is the
+// differential oracle.
 //
 // Per-round scratch that is map-shaped (receiver partitions and split maps
 // of asymmetric rounds) lives in a `RoundArena` (core/arena.hpp): bump
@@ -114,19 +112,15 @@ struct CohortOptions {
   bool relay_partial_broadcast = true;
   Round relay_extra_delay = 2;
   HaltPolicy halt_policy = HaltPolicy::kContinueForever;
-  // Merging is semantics-preserving (exact-equality checked); the knob
-  // exists for the split/merge tests and for A/B-ing its cost.
-  bool merge_cohorts = true;
   // Optional fault plan (env/faults.hpp), aliased for the run's lifetime.
   // An active plan forces per-link scheduling every round (fates vary by
   // link), so fault asymmetries split cohorts through the existing
   // signature-partition machinery — degradation is principled, not
   // approximate.
   const FaultPlan* faults = nullptr;
-  // Worker-pool participants driving the per-round waves (1 = the serial
-  // reference engine; 0 = one per hardware thread) and the cohort-shard
-  // count (0 = one per participant).  Reports are byte-identical at any
-  // value — see the class comment.
+  // Worker-pool participants driving the per-round waves (0 = one per
+  // hardware thread) and the cohort-shard count (0 = one per participant).
+  // Reports are byte-identical at any value — see the class comment.
   std::size_t engine_threads = 1;
   std::size_t engine_shards = 0;
 
@@ -170,14 +164,12 @@ class CohortNet {
     ANON_CHECK(!groups.empty());
     for (const InitGroup& g : groups) n_ += g.members.size();
     ANON_CHECK(n_ > 0);
-    const std::size_t threads = opt_.engine_threads == 0
-                                    ? resolve_sweep_threads(0)
-                                    : opt_.engine_threads;
-    const std::size_t shards =
-        opt_.engine_shards == 0 ? threads : opt_.engine_shards;
-    participants_ = std::max<std::size_t>(threads, 1);
-    sharded_ = shards > 1 || participants_ > 1;
-    shard_count_ = sharded_ ? std::max<std::size_t>(shards, 1) : 1;
+    participants_ = std::max<std::size_t>(
+        opt_.engine_threads == 0 ? resolve_sweep_threads(0)
+                                 : opt_.engine_threads,
+        1);
+    shard_count_ = std::max<std::size_t>(
+        opt_.engine_shards == 0 ? participants_ : opt_.engine_shards, 1);
     interners_.resize(shard_count_);
     cohort_of_.assign(n_, kNoCohort);
     decision_round_.assign(n_, kNoRound);
@@ -191,12 +183,12 @@ class CohortNet {
       for (ProcId p : c->members) {
         ANON_CHECK_MSG(p < n_ && cohort_of_[p] == kNoCohort,
                        "InitGroup members must partition [0, n)");
-        cohort_of_[p] = 0;  // provisional; reindex() assigns real indices
+        cohort_of_[p] = 0;  // provisional; the reindex assigns real indices
         if (!crashes_.ever_crashes(p)) ++c->correct_members;
       }
       cohorts_.push_back(std::move(c));
     }
-    sort_and_reindex();
+    purge_sort_reindex();
     stats_.cohorts = stats_.max_cohorts = cohorts_.size();
     // Crash events, in firing order (ties broken by process id for
     // deterministic death bookkeeping).
@@ -219,7 +211,7 @@ class CohortNet {
   const CohortStats& stats() const { return stats_; }
   std::size_t cohort_count() const { return cohorts_.size(); }
 
-  // Shards the engine partitions classes into (1 = the serial reference).
+  // Shards the engine partitions classes into.
   std::size_t engine_shards() const { return shard_count_; }
 
   bool is_correct(ProcId p) const { return !crashes_.ever_crashes(p); }
@@ -321,7 +313,7 @@ class CohortNet {
     if (round_ == 0) bootstrap();
     while (round_ < opt_.max_rounds) {
       deliver_due(round_);
-      if (opt_.merge_cohorts) merge_converged();
+      merge_converged();
       if (stop(*this)) return {round_, true};
       advance_round();
       note_decisions();
@@ -366,8 +358,8 @@ class CohortNet {
     std::shared_ptr<const std::vector<ProcId>> senders;
   };
 
-  // The compute wave's per-class output, staged for the serial schedule
-  // pass (and for cross-shard payload canonicalization in sharded mode).
+  // The compute wave's per-class output, staged for cross-shard payload
+  // canonicalization and the serial schedule pass.
   struct WaveOut {
     SharedBatch<M> payload;
     std::size_t bytes = 0;
@@ -403,13 +395,42 @@ class CohortNet {
   // plus singleton stragglers; an equal-width cut parks all the O(n)
   // member fan-out on one worker.  Any contiguous cover is result-safe —
   // order-sensitive work replays serially in class order at the barriers.
+  // One shard needs no weights: its range is the whole list.
   void rebuild_shard_ranges(std::size_t count) {
+    if (shard_count_ == 1) {
+      shard_ranges_.assign(1, {0, count});
+      return;
+    }
     balanced_ranges_weighted(
         count, std::min(shard_count_, std::max<std::size_t>(count, 1)),
         [this](std::size_t ci) {
           return static_cast<std::uint64_t>(cohorts_[ci]->members.size());
         },
         &shard_ranges_);
+  }
+
+  // Runs body(begin, end, shard) for every shard range.  Bodies write only
+  // state owned by their range (and their shard's interner), so results
+  // are independent of which thread ran which shard.  One participant (or
+  // one range) loops inline and never touches the worker pool:
+  // WorkerPool::shared() starts its threads on first use, and once a
+  // process has a second thread libstdc++ makes every shared_ptr refcount
+  // — each SharedBatch copy included — an atomic operation.
+  template <typename Body>
+  void for_each_shard(const Body& body) {
+    if (participants_ == 1 || shard_ranges_.size() == 1) {
+      for (std::size_t s = 0; s < shard_ranges_.size(); ++s)
+        body(shard_ranges_[s].first, shard_ranges_[s].second, s);
+      return;
+    }
+    // Captures two pointers: std::function keeps them in its small
+    // buffer, so the dispatch allocates nothing.
+    WorkerPool::shared().parallel_for(
+        shard_ranges_.size(),
+        [this, &body](std::size_t s) {
+          body(shard_ranges_[s].first, shard_ranges_[s].second, s);
+        },
+        participants_);
   }
 
   // End-of-round wave k: one representative compute per class (sharded),
@@ -435,27 +456,20 @@ class CohortNet {
 
     // Compute wave: end-of-round + intern, sharded over classes.  Mutates
     // only per-class state and the shard's own interner; everything
-    // order-sensitive replays serially below.
+    // order-sensitive replays serially below.  One interner never holds
+    // two objects with the same content, so one shard needs no barrier.
     const std::size_t count = cohorts_.size();
     wave_out_.resize(count);
     wave_round_ = k;
-    if (!sharded_) {
-      interners_[0].round_reset();
-      compute_range(0, count, 0);
-    } else {
-      rebuild_shard_ranges(count);
-      WorkerPool::shared().parallel_for(
-          shard_ranges_.size(),
-          [this](std::size_t s) {
-            interners_[s].round_reset();
-            compute_range(shard_ranges_[s].first, shard_ranges_[s].second, s);
-          },
-          participants_);
-      canonicalize_wave_payloads();
-    }
+    rebuild_shard_ranges(count);
+    for_each_shard([this](std::size_t begin, std::size_t end, std::size_t s) {
+      interners_[s].round_reset();
+      compute_range(begin, end, s);
+    });
+    if (shard_ranges_.size() > 1) canonicalize_wave_payloads();
 
-    // Schedule wave: serial, in class order — byte-for-byte the serial
-    // engine's fold over counters, calendar entries and crash bookkeeping.
+    // Schedule wave: serial, in class order — one fold over counters,
+    // calendar entries and crash bookkeeping at every shard count.
     bool structural = false;
     for (std::uint32_t ci = 0; ci < count; ++ci) {
       Cohort& c = *cohorts_[ci];
@@ -699,27 +713,18 @@ class CohortNet {
     calendar_.take_due_into(due_scratch_);
     if (due_scratch_.empty()) return;
 
-    // A = alive ∩ non-halted processes, for multiplicity-weighted counts —
-    // an index-ordered map-reduce over the class shards (deterministic by
-    // construction; integer sums commute anyway).
+    // A = alive ∩ non-halted processes, for multiplicity-weighted counts:
+    // per-shard sums, folded in shard order.
+    rebuild_shard_ranges(cohorts_.size());
+    reduce_scratch_.resize(shard_ranges_.size());
+    for_each_shard([this](std::size_t begin, std::size_t end, std::size_t s) {
+      std::uint64_t sum = 0;
+      for (std::size_t ci = begin; ci < end; ++ci)
+        if (!cohorts_[ci]->halted) sum += cohorts_[ci]->members.size();
+      reduce_scratch_[s] = sum;
+    });
     std::uint64_t alive_nonhalted = 0;
-    if (!sharded_) {
-      for (const auto& c : cohorts_)
-        if (!c->halted) alive_nonhalted += c->members.size();
-    } else {
-      rebuild_shard_ranges(cohorts_.size());
-      alive_nonhalted = WorkerPool::shared().parallel_reduce(
-          shard_ranges_.size(), std::uint64_t{0}, reduce_scratch_,
-          [this](std::size_t s) {
-            std::uint64_t sum = 0;
-            for (std::size_t ci = shard_ranges_[s].first;
-                 ci < shard_ranges_[s].second; ++ci)
-              if (!cohorts_[ci]->halted) sum += cohorts_[ci]->members.size();
-            return sum;
-          },
-          [](std::uint64_t a, std::uint64_t b) { return a + b; },
-          participants_);
-    }
+    for (const std::uint64_t sum : reduce_scratch_) alive_nonhalted += sum;
 
     bool any_unicast = false;
     bool any_broadcast = false;
@@ -746,19 +751,10 @@ class CohortNet {
     // merely re-adds their own round message (a set no-op), exactly as
     // peers' identical broadcasts would.  The exchange is unobservable:
     // per-receiver insertion order is preserved and views sort by content.
-    if (any_broadcast) {
-      if (!sharded_) {
-        receive_broadcasts_range(0, cohorts_.size());
-      } else {
-        WorkerPool::shared().parallel_for(
-            shard_ranges_.size(),
-            [this](std::size_t s) {
-              receive_broadcasts_range(shard_ranges_[s].first,
-                                       shard_ranges_[s].second);
-            },
-            participants_);
-      }
-    }
+    if (any_broadcast)
+      for_each_shard([this](std::size_t begin, std::size_t end, std::size_t) {
+        receive_broadcasts_range(begin, end);
+      });
     if (any_unicast) deliver_unicasts(due_scratch_, r);
     due_scratch_.clear();
   }
@@ -885,22 +881,15 @@ class CohortNet {
   // sorting flat (digest, index) pairs — the buckets are runs in a
   // capacity-retaining scratch vector, not a node-allocating hash map —
   // confirm exact equality, absorb.  Ascending index order within a run
-  // keeps the winner choice identical to the serial engine's.
+  // makes the lowest surviving index win at every shard count.
   void merge_converged() {
     const std::size_t count = cohorts_.size();
     if (count <= 1) return;
     merge_digests_.resize(count);
-    if (!sharded_) {
-      digest_range(0, count);
-    } else {
-      rebuild_shard_ranges(count);
-      WorkerPool::shared().parallel_for(
-          shard_ranges_.size(),
-          [this](std::size_t s) {
-            digest_range(shard_ranges_[s].first, shard_ranges_[s].second);
-          },
-          participants_);
-    }
+    rebuild_shard_ranges(count);
+    for_each_shard([this](std::size_t begin, std::size_t end, std::size_t) {
+      digest_range(begin, end);
+    });
     merge_scratch_.clear();
     for (std::uint32_t i = 0; i < count; ++i)
       merge_scratch_.push_back({merge_digests_[i], i});
@@ -947,18 +936,10 @@ class CohortNet {
   }
 
   void note_decisions() {
-    if (!sharded_) {
-      note_decisions_range(0, cohorts_.size());
-      return;
-    }
     rebuild_shard_ranges(cohorts_.size());
-    WorkerPool::shared().parallel_for(
-        shard_ranges_.size(),
-        [this](std::size_t s) {
-          note_decisions_range(shard_ranges_[s].first,
-                               shard_ranges_[s].second);
-        },
-        participants_);
+    for_each_shard([this](std::size_t begin, std::size_t end, std::size_t) {
+      note_decisions_range(begin, end);
+    });
   }
 
   // Stamps decision rounds for a class range.  Classes own disjoint member
@@ -988,21 +969,12 @@ class CohortNet {
                  const std::unique_ptr<Cohort>& b) {
                 return a->members.front() < b->members.front();
               });
-    if (!sharded_ || cohorts_.size() < 2) {
-      for (std::uint32_t i = 0; i < cohorts_.size(); ++i)
-        for (ProcId p : cohorts_[i]->members) cohort_of_[p] = i;
-    } else {
-      rebuild_shard_ranges(cohorts_.size());
-      WorkerPool::shared().parallel_for(
-          shard_ranges_.size(),
-          [this](std::size_t s) {
-            for (std::size_t ci = shard_ranges_[s].first;
-                 ci < shard_ranges_[s].second; ++ci)
-              for (ProcId p : cohorts_[ci]->members)
-                cohort_of_[p] = static_cast<std::uint32_t>(ci);
-          },
-          participants_);
-    }
+    rebuild_shard_ranges(cohorts_.size());
+    for_each_shard([this](std::size_t begin, std::size_t end, std::size_t) {
+      for (std::size_t ci = begin; ci < end; ++ci)
+        for (ProcId p : cohorts_[ci]->members)
+          cohort_of_[p] = static_cast<std::uint32_t>(ci);
+    });
     stats_.cohorts = cohorts_.size();
     stats_.max_cohorts = std::max(stats_.max_cohorts, cohorts_.size());
   }
@@ -1030,9 +1002,8 @@ class CohortNet {
   std::uint64_t fault_drops_ = 0;
   std::uint64_t fault_dups_ = 0;
 
-  // Sharded-mode machinery (shard_count_ == 1 is the serial reference) and
-  // per-round scratch, all capacity-retaining across rounds.
-  bool sharded_ = false;
+  // Shard machinery and per-round scratch, all capacity-retaining across
+  // rounds.
   std::size_t shard_count_ = 1;
   std::size_t participants_ = 1;
   std::vector<std::pair<std::size_t, std::size_t>> shard_ranges_;
@@ -1046,8 +1017,6 @@ class CohortNet {
   std::vector<std::uint64_t> reduce_scratch_;
   std::vector<Pending> due_scratch_;  // recycled take_due buffer
   RoundArena arena_;  // asymmetric-round receiver partitions + split maps
-
-  void sort_and_reindex() { purge_sort_reindex(); }
 };
 
 // The standard cohort construction for consensus workloads: processes

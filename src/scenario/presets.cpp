@@ -101,12 +101,13 @@ ScenarioSpec e12_spec(const std::string& name, std::size_t n) {
   return spec;
 }
 
-// E13: sharded intra-run execution on the expanded backend — an E1-shaped
-// ES run with mid-flight random crashes (so the per-link audience fallback
-// gets exercised, not just the uniform fast path), engine_threads=0 = one
-// shard per hardware thread.  The report is byte-identical to the serial
-// engine; the preset exists so CI's smoke job and the sharded engine's
-// bench A/B have a named shape to drive.
+// E13: sharded intra-run execution — an E1-shaped ES run with mid-flight
+// random crashes (so the per-link audience fallback and crash splits get
+// exercised, not just the uniform fast path) on the cohort engine,
+// engine_threads=0 = one shard per hardware thread.  The report is
+// byte-identical at every thread count and, apart from the class
+// counters, to the serial expanded engine; the preset exists so CI's
+// smoke job has a named sharded shape to drive.
 ScenarioSpec e13_spec(const std::string& name, std::size_t n,
                       std::size_t crashes) {
   ScenarioSpec spec = base_spec(name, ScenarioFamily::kConsensus, 1);
@@ -119,6 +120,7 @@ ScenarioSpec e13_spec(const std::string& name, std::size_t n,
   spec.crashes.count = crashes;
   spec.crashes.horizon = 6;
   spec.consensus.algo = ConsensusAlgo::kEs;
+  spec.consensus.backend = ConsensusBackend::kCohort;
   spec.consensus.engine_threads = 0;
   spec.consensus.record_trace = false;
   return spec;

@@ -104,7 +104,6 @@ ConsensusCellOutcome run_convergence_cell(const ScenarioSpec& spec,
   opt.max_rounds = c.horizon;
   opt.record_trace = c.record_trace;
   opt.record_deliveries = c.record_deliveries;
-  opt.engine_threads = c.engine_threads;
   LockstepNet<EssMessage> net(std::move(autos), delays, crashes, opt);
 
   Round last_bad = 0;
@@ -149,7 +148,6 @@ ConsensusCellOutcome run_state_growth_cell(const ScenarioSpec& spec,
   opt.max_rounds = c.horizon + 5;
   opt.record_trace = c.record_trace;
   opt.record_deliveries = c.record_deliveries;
-  opt.engine_threads = c.engine_threads;
   LockstepNet<EssMessage> net(std::move(autos), delays, crashes, opt);
   const Round target = c.horizon;
   const RunResult run = net.run(

@@ -1056,9 +1056,22 @@ std::vector<SpecError> validate_scenario_spec(const ScenarioSpec& spec) {
           "must leave at least one correct process (" + env_n + ")");
   }
 
+  // Only the cohort engines shard a run; the expanded engines are serial,
+  // so a thread count there would be silently ignored.
+  auto threads_need_cohort = [&](const char* family, bool cohort,
+                                 std::size_t engine_threads) {
+    if (!cohort && engine_threads != 1)
+      err(std::string(family) + ".engine_threads",
+          "only the cohort backend runs on several engine threads — set 1 "
+          "or backend \"cohort\"");
+  };
+
   switch (spec.family) {
     case ScenarioFamily::kConsensus: {
       const auto& c = spec.consensus;
+      threads_need_cohort("consensus",
+                          c.backend == ConsensusBackend::kCohort,
+                          c.engine_threads);
       const bool adversarial =
           c.schedule != ConsensusSpecSection::Schedule::kEnv;
       if (c.backend == ConsensusBackend::kCohort) {
@@ -1133,6 +1146,9 @@ std::vector<SpecError> validate_scenario_spec(const ScenarioSpec& spec) {
       // Any MS-class environment is fine (ES/ESS are strictly stronger
       // than the MS assumption Algorithm 4 needs).
       const auto& w = spec.weakset;
+      threads_need_cohort("weakset",
+                          w.backend == WeaksetSpecSection::Backend::kCohort,
+                          w.engine_threads);
       for (std::size_t i = 0; i < w.script.size(); ++i)
         if (w.script[i].process >= spec.n)
           err("weakset.script[" + std::to_string(i) + "].process",
@@ -1148,6 +1164,9 @@ std::vector<SpecError> validate_scenario_spec(const ScenarioSpec& spec) {
     }
     case ScenarioFamily::kEmulation: {
       const auto& e = spec.emulation;
+      threads_need_cohort("emulation",
+                          e.backend == EmulationSpecSection::Backend::kCohort,
+                          e.engine_threads);
       if (spec.env_kind != EnvKind::kMS)
         err("env.kind",
             "the emulation family produces an MS environment — set \"ms\"");

@@ -130,12 +130,10 @@ struct ConsensusSpecSection {
 
   ConsensusAlgo algo = ConsensusAlgo::kEs;
   ConsensusBackend backend = ConsensusBackend::kExpanded;
-  // Worker-pool participants for either backend's intra-run waves
-  // (LockstepOptions::engine_threads / CohortOptions::engine_threads):
-  // 1 = the serial reference engine, 0 = one per hardware thread, N = the
-  // N-shard parallel engine.  Results are byte-identical at any value on
-  // both backends — the cohort engine shards its class list the same way
-  // the expanded engine shards processes.
+  // Worker-pool participants for the cohort engine's intra-run waves
+  // (CohortOptions::engine_threads): 0 = one per hardware thread, N = N
+  // shards.  Results are byte-identical at any value.  The expanded engine
+  // is serial, so validation requires 1 there.
   std::size_t engine_threads = 1;
   Schedule schedule = Schedule::kEnv;
   Probe probe = Probe::kDecision;
@@ -181,9 +179,9 @@ struct WeaksetSpecSection {
   enum class Backend { kExpanded, kCohort };
   Mode mode = Mode::kSet;
   Backend backend = Backend::kExpanded;
-  // Worker-pool participants for either backend's intra-run waves
-  // (1 = serial reference, 0 = one per hardware thread); byte-identical
-  // results at any value.
+  // Worker-pool participants for the cohort backend's intra-run waves
+  // (0 = one per hardware thread); byte-identical results at any value.
+  // The expanded backend is serial: validation requires 1 there.
   std::size_t engine_threads = 1;
   std::vector<WeaksetOpSpec> script;  // explicit; empty ⇒ generated
   // Generated workload (`gen_ops` mutation/observation pairs, the E4/E6
@@ -215,7 +213,7 @@ struct EmulationSpecSection {
   Inner inner = Inner::kEcho;
   Engine engine = Engine::kInterned;
   Backend backend = Backend::kExpanded;
-  std::size_t engine_threads = 1;           // cohort: worker participants
+  std::size_t engine_threads = 1;           // cohort only: worker participants
   Round rounds = 40;                        // emulated rounds to reach
   std::uint64_t min_add_latency = 1;
   std::uint64_t max_add_latency = 6;

@@ -196,8 +196,6 @@ MsWeakSetRunResult run_ms_weak_set(const EnvParams& env,
   LockstepOptions opt;
   opt.seed = env.seed;
   opt.max_rounds = max_rounds;
-  opt.engine_threads = ropt.engine_threads;
-  opt.engine_shards = ropt.engine_shards;
   opt.faults = faults ? &*faults : nullptr;
   // The trace exists only to certify the environment: without the check it
   // would be Θ(rounds·n²) of dead weight (fatal at the bench scales).

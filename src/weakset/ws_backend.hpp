@@ -39,8 +39,8 @@ struct WsRunOptions {
   bool validate_env = true;
   WsBackend backend = WsBackend::kExpanded;
   // Worker-pool participants (0 = one per hardware thread) and shard count
-  // (0 = one per participant), forwarded to either engine.  Results are
-  // byte-identical at any value.
+  // (0 = one per participant) of the cohort engine; the expanded engine is
+  // serial and ignores both.  Results are byte-identical at any value.
   std::size_t engine_threads = 1;
   std::size_t engine_shards = 0;
   // Link-fault plan (env/faults.hpp), inactive by default.  Both backends

@@ -5,11 +5,11 @@
 // after the decision round every process re-broadcasts its frozen {VAL}
 // message, so round content repeats forever.  In that steady state a round
 // must perform ZERO heap allocations on every engine:
-//   * serial LockstepNet      (per-link calendar entries recycled),
-//   * sharded LockstepNet     (pregroup/group pools, arena barrier scratch,
-//                              [this]-only wave captures),
-//   * serial CohortNet        (interner generation reuse, own-cache hits),
-//   * sharded CohortNet       (per-shard interners, arena digest buckets).
+//   * LockstepNet             (per-link calendar entries recycled),
+//   * CohortNet, one thread   (interner generation reuse, own-cache hits,
+//                              inline shard loop),
+//   * CohortNet, four threads (per-shard interners, flat barrier scratch,
+//                              pointer-only pool job captures).
 // The measurement window is placed between BatchInterner compaction
 // generations (every 64 round_resets) so the counter sees only the round
 // path itself.
@@ -84,26 +84,17 @@ std::size_t measure_steady_rounds(Net& net) {
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
-LockstepOptions lockstep_options(std::size_t engine_threads,
-                                 std::size_t engine_shards) {
+std::size_t lockstep_steady_allocations() {
+  std::vector<std::unique_ptr<Automaton<EsMessage>>> autos;
+  for (const Value& v : initial_values())
+    autos.push_back(std::make_unique<EsConsensus>(v));
   LockstepOptions opt;
   opt.seed = 42;
   opt.record_trace = false;
   opt.record_deliveries = false;
   opt.halt_policy = HaltPolicy::kContinueForever;
-  opt.engine_threads = engine_threads;
-  opt.engine_shards = engine_shards;
-  return opt;
-}
-
-std::size_t lockstep_steady_allocations(std::size_t engine_threads,
-                                        std::size_t engine_shards) {
-  std::vector<std::unique_ptr<Automaton<EsMessage>>> autos;
-  for (const Value& v : initial_values())
-    autos.push_back(std::make_unique<EsConsensus>(v));
   const SynchronousDelays delays;
-  LockstepNet<EsMessage> net(std::move(autos), delays, CrashPlan{},
-                             lockstep_options(engine_threads, engine_shards));
+  LockstepNet<EsMessage> net(std::move(autos), delays, CrashPlan{}, opt);
   const std::size_t allocs = measure_steady_rounds(net);
   EXPECT_TRUE(net.all_correct_decided()) << "run must converge in warm-up";
   return allocs;
@@ -125,13 +116,8 @@ std::size_t cohort_steady_allocations(std::size_t engine_threads) {
 }
 
 TEST(AllocationSteadyState, SerialLockstepRoundsAreAllocationFree) {
-  EXPECT_EQ(lockstep_steady_allocations(1, 0), 0u)
+  EXPECT_EQ(lockstep_steady_allocations(), 0u)
       << "serial LockstepNet allocated on the steady-state round path";
-}
-
-TEST(AllocationSteadyState, ShardedLockstepRoundsAreAllocationFree) {
-  EXPECT_EQ(lockstep_steady_allocations(4, 4), 0u)
-      << "sharded LockstepNet allocated on the steady-state round path";
 }
 
 TEST(AllocationSteadyState, SerialCohortRoundsAreAllocationFree) {

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "scenario/json.hpp"
 
@@ -119,12 +120,23 @@ TEST(CliBackend, ConsensusCohortRunMatchesExpanded) {
   // Both engines report the same cells, `bytes` included: every engine
   // instantiation sees the one MessageSizeOf<ValueSet>.  Only the cohort
   // engine's class counters are extra.
-  for (const std::string preset : {"e1-fast", "e14-fast"}) {
-    SCOPED_TRACE(preset);
+  struct Case {
+    std::string preset;
+    std::string expanded;  // flags selecting the expanded engine
+    std::string cohort;    // flags selecting the cohort engine
+  };
+  const Case cases[] = {
+      {"e1-fast", "", " --backend cohort"},
+      {"e14-fast", "", " --backend cohort"},
+      // Ships on the cohort engine at one shard per hardware thread.
+      {"e13-fast", " --backend expanded --engine-threads 1", ""},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.preset);
     const std::string run =
-        "./anonsim run --preset " + preset + " --quiet --no-timing";
-    const auto expanded = run_cmd(run);
-    const auto cohort = run_cmd(run + " --backend cohort");
+        "./anonsim run --preset " + c.preset + " --quiet --no-timing";
+    const auto expanded = run_cmd(run + c.expanded);
+    const auto cohort = run_cmd(run + c.cohort);
     ASSERT_EQ(expanded.rc, 0);
     ASSERT_EQ(cohort.rc, 0);
     const auto a = anon::JsonValue::parse(expanded.output);
@@ -147,6 +159,24 @@ TEST(CliBackend, EngineThreadsComposeWithTheCohortBackend) {
   ASSERT_EQ(one.rc, 0);
   ASSERT_EQ(four.rc, 0);
   EXPECT_EQ(one.output, four.output);
+}
+
+TEST(CliBackend, EngineThreadsRequireTheCohortBackend) {
+  REQUIRE_ANONSIM();
+  // The expanded engines are serial: a thread count there is an invalid
+  // spec (exit 3) named by its field path, not a silently ignored knob.
+  const std::pair<std::string, std::string> cases[] = {
+      {"e5-fast", "emulation.engine_threads"},
+      {"e4-fast", "weakset.engine_threads"},
+      {"e1-fast", "consensus.engine_threads"},
+  };
+  for (const auto& [preset, field] : cases) {
+    SCOPED_TRACE(preset);
+    const auto res = run_cmd("./anonsim run --preset " + preset +
+                             " --engine-threads 4 --quiet 2>&1");
+    EXPECT_EQ(res.rc, 3);
+    EXPECT_NE(res.output.find(field), std::string::npos) << res.output;
+  }
 }
 
 TEST(CliBackend, BackendRejectsTraceFreeFamilies) {

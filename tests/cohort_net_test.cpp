@@ -105,13 +105,16 @@ std::vector<CohortNet<EssMessage>::InitGroup> ess_groups(
 // assertions.
 CohortStats check_equivalent(const Scenario& sc, const std::string& what) {
   const EnvDelayModel delays(sc.env, sc.crashes);
+  const FaultPlan plan(sc.faults, sc.net.seed, sc.env.n, &delays);
+  LockstepOptions net = sc.net;
+  if (plan.active()) net.faults = &plan;
   Observed expanded, cohort;
   CohortStats stats;
   if (sc.algo == ConsensusAlgo::kEs) {
-    LockstepNet<EsMessage> e(es_autos(sc.initial), delays, sc.crashes, sc.net);
+    LockstepNet<EsMessage> e(es_autos(sc.initial), delays, sc.crashes, net);
     expanded = observe(e, e.run_until_all_correct_decided());
     CohortNet<EsMessage> c(es_groups(sc.initial), delays, sc.crashes,
-                           CohortOptions::from(sc.net));
+                           CohortOptions::from(net));
     cohort = observe(c, c.run_until_all_correct_decided());
     stats = c.stats();
   } else {
@@ -119,11 +122,11 @@ CohortStats check_equivalent(const Scenario& sc, const std::string& what) {
     std::vector<std::unique_ptr<Automaton<EssMessage>>> autos;
     for (const Value& v : sc.initial)
       autos.push_back(std::make_unique<EssConsensus>(v, &arena_e));
-    LockstepNet<EssMessage> e(std::move(autos), delays, sc.crashes, sc.net);
+    LockstepNet<EssMessage> e(std::move(autos), delays, sc.crashes, net);
     expanded = observe(e, e.run_until_all_correct_decided());
     HistoryArena arena_c;
     CohortNet<EssMessage> c(ess_groups(sc.initial, &arena_c), delays,
-                            sc.crashes, CohortOptions::from(sc.net));
+                            sc.crashes, CohortOptions::from(net));
     cohort = observe(c, c.run_until_all_correct_decided());
     stats = c.stats();
   }
@@ -136,8 +139,8 @@ CohortStats check_equivalent(const Scenario& sc, const std::string& what) {
 TEST(CohortEquivalence, RandomizedConfigsAgreeWithExpandedExecution) {
   // ≥ 50 randomized (seed, env, crash-plan) configurations across both
   // algorithms, ES and ESS environments, clustered and distinct initial
-  // values, 0–3 crashes, n ≤ 32.
-  std::size_t checked = 0;
+  // values, 0–3 crashes, n ≤ 32; a quarter also inject a fault plan.
+  std::size_t checked = 0, faulted = 0;
   for (std::uint64_t cfg = 0; cfg < 56; ++cfg) {
     Rng rng(0xc0ff33 + cfg * 977);
     Scenario sc;
@@ -163,12 +166,24 @@ TEST(CohortEquivalence, RandomizedConfigsAgreeWithExpandedExecution) {
     sc.net.max_rounds = 4000;
     sc.net.record_trace = false;
     sc.net.relay_partial_broadcast = (cfg % 5 != 4);
+    if (cfg % 4 == 3) {  // drawn last: the other draws stay as they were
+      sc.faults.loss_prob = 0.15 * rng.real();
+      sc.faults.dup_prob = 0.2 * rng.real();
+      sc.faults.dup_extra_delay = 1 + static_cast<Round>(rng.below(3));
+      sc.faults.reorder_prob = 0.2 * rng.real();
+      sc.faults.max_extra_delay = 1 + static_cast<Round>(rng.below(3));
+      if (cfg % 8 == 3)
+        sc.faults.omission_senders = {
+            static_cast<ProcId>(rng.below(sc.env.n))};
+      ++faulted;
+    }
     const CohortStats stats =
         check_equivalent(sc, "cfg " + std::to_string(cfg));
     EXPECT_LE(stats.max_cohorts, sc.env.n);
     ++checked;
   }
   EXPECT_GE(checked, 50u);
+  EXPECT_GE(faulted, 12u);
 }
 
 TEST(CohortEquivalence, PerRoundMetricSeriesMatchesExpanded) {

@@ -256,9 +256,13 @@ TEST(ScenarioSpecJson, SetFieldDecodesLikeASpecFile) {
 
 TEST(ScenarioSpecJson, EngineThreadsRoundTripsAndDefaultsStayImplicit) {
   // engine_threads is encoded only when != 1, so every pre-existing spec
-  // and golden stays byte-identical; a non-default value round-trips.
+  // and golden stays byte-identical; a non-default value round-trips.  Only
+  // the cohort backend takes one, and it records no trace.
   ScenarioSpec spec;
   spec.family = ScenarioFamily::kConsensus;
+  spec.consensus.backend = ConsensusBackend::kCohort;
+  spec.consensus.record_trace = false;
+  spec.consensus.validate_env = false;
   EXPECT_EQ(scenario_spec_to_json(spec).find("engine_threads"),
             std::string::npos);
 
@@ -274,7 +278,8 @@ TEST(ScenarioSpecJson, EngineThreadsRoundTripsAndDefaultsStayImplicit) {
   // 0 (= one shard per hardware thread) is a valid, non-default value.
   auto zero = parse_scenario_spec(R"({
     "family": "consensus",
-    "consensus": {"engine_threads": 0}
+    "consensus": {"backend": "cohort", "record_trace": false,
+                  "validate_env": false, "engine_threads": 0}
   })");
   ASSERT_TRUE(zero.ok()) << zero.errors_to_string();
   EXPECT_EQ(zero.spec->consensus.engine_threads, 0u);
@@ -407,9 +412,8 @@ TEST(ScenarioSpecValidation, CohortBackendWithTraceIsDiagnosed) {
 }
 
 TEST(ScenarioSpecValidation, CohortBackendAcceptsIntraRunSharding) {
-  // engine_threads composes with both backends: the cohort engine shards
-  // its class list the same way the expanded engine shards processes, and
-  // the spec round-trips the knob regardless of backend.
+  // The cohort engine shards its class list over engine_threads
+  // participants, and the spec round-trips the knob.
   auto res = parse_scenario_spec(R"({
     "family": "consensus",
     "consensus": {"backend": "cohort", "record_trace": false,
@@ -423,6 +427,35 @@ TEST(ScenarioSpecValidation, CohortBackendAcceptsIntraRunSharding) {
   auto again = parse_scenario_spec(once);
   ASSERT_TRUE(again.ok()) << again.errors_to_string();
   EXPECT_EQ(once, scenario_spec_to_json(*again.spec));
+}
+
+TEST(ScenarioSpecValidation, EngineThreadsNeedTheCohortBackend) {
+  // The expanded engines are serial: a thread count there would be
+  // silently ignored, so any value but 1 is an error at the field's path.
+  for (const char* threads : {"0", "4"}) {
+    SCOPED_TRACE(threads);
+    const std::string t = threads;
+    auto consensus = parse_scenario_spec(
+        R"({"family": "consensus", "consensus": {"engine_threads": )" + t +
+        "}}");
+    ASSERT_FALSE(consensus.ok());
+    EXPECT_TRUE(has_error_at(consensus.errors, "consensus.engine_threads"))
+        << consensus.errors_to_string();
+
+    auto weakset = parse_scenario_spec(
+        R"({"family": "weakset", "weakset": {"engine_threads": )" + t + "}}");
+    ASSERT_FALSE(weakset.ok());
+    EXPECT_TRUE(has_error_at(weakset.errors, "weakset.engine_threads"))
+        << weakset.errors_to_string();
+
+    auto emulation = parse_scenario_spec(
+        R"({"family": "emulation", "env": {"kind": "ms"},
+            "emulation": {"engine_threads": )" +
+        t + "}}");
+    ASSERT_FALSE(emulation.ok());
+    EXPECT_TRUE(has_error_at(emulation.errors, "emulation.engine_threads"))
+        << emulation.errors_to_string();
+  }
 }
 
 TEST(ScenarioSpecValidation, ValidateEnvNeedsTheFullTrace) {
