@@ -4,8 +4,10 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <thread>
 
 #include "algo/runner.hpp"
 #include "common/check.hpp"
@@ -31,6 +33,19 @@ inline std::string json_path(const std::string& filename) {
   const char* dir = std::getenv("ANON_BENCH_JSON_DIR");
   if (dir == nullptr || dir[0] == '\0') return filename;
   return std::string(dir) + "/" + filename;
+}
+
+// Writes a bench's results to `path` with its provenance stamped in:
+// hardware_threads, the build type (ANON_BUILD_TYPE, the CMake
+// configuration CMakeLists.txt defines for every bench target) and the
+// compiler version.  Every bench writes its BENCH_*.json through here, so
+// no committed number lacks them.
+inline bool write_json(BenchJson& j, const std::string& path) {
+  j.set("hardware_threads",
+        static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  j.set("build_type", std::string(ANON_BUILD_TYPE));
+  j.set("compiler", std::string(__VERSION__));
+  return j.write(path);
 }
 
 // Runs the experiment tables first, then google-benchmark.  Every bench

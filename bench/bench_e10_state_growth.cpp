@@ -198,7 +198,7 @@ void print_tables() {
     j.set("counters_gc", rep_gc.consensus_cells[0].counter_entries);
     j.set("smoke", static_cast<std::uint64_t>(bench::smoke() ? 1 : 0));
     const std::string path = bench::json_path("BENCH_E10.json");
-    if (j.write(path))
+    if (bench::write_json(j, path))
       std::cout << "  [" << path << " written: wall_s=" << ab.a + ab.b
                 << " (stepping-protocol wall " << table_a_s << "s: plain "
                 << table_a_plain_s << " / GC " << table_a_gc_s << ", "

@@ -157,7 +157,7 @@ void print_tables() {
           ab_cohort_s > 0 ? ab_expanded_s / ab_cohort_s : 0.0);
     j.set("smoke", static_cast<std::uint64_t>(bench::smoke() ? 1 : 0));
     const std::string path = bench::json_path("BENCH_E12.json");
-    if (j.write(path))
+    if (bench::write_json(j, path))
       std::cout << "  [" << path << " written: n_max=" << ladder.back()
                 << " wall=" << wall_nmax << "s, n=" << ab_n
                 << " speedup=" << (ab_cohort_s > 0

@@ -177,7 +177,7 @@ void print_tables() {
     j.set("grid_wall_s", grid_wall_s);
     j.set("smoke", static_cast<std::uint64_t>(bench::smoke() ? 1 : 0));
     const std::string path = bench::json_path("BENCH_E14.json");
-    if (j.write(path))
+    if (bench::write_json(j, path))
       std::cout << "  [" << path << " written: es " << es.decided << "/"
                 << es.cells << " decided at intensity "
                 << intensities.back() << ", " << hostile_safety_ok << "/"

@@ -168,10 +168,9 @@ void print_tables() {
     j.set("b_wall_sharded_s", sharded_b);
     j.set("b_speedup", sharded_b > 0 ? serial_b / sharded_b : 0.0);
     j.set("b_rounds", rounds_b);
-    j.set("hardware_threads", static_cast<std::uint64_t>(hw));
     j.set("smoke", static_cast<std::uint64_t>(bench::smoke() ? 1 : 0));
     const std::string path = bench::json_path("BENCH_E15.json");
-    if (j.write(path))
+    if (bench::write_json(j, path))
       std::cout << "  [" << path << " written: a_n=" << n_a
                 << " b_n=" << n_b << " b_speedup="
                 << (sharded_b > 0 ? serial_b / sharded_b : 0.0) << "x]\n";

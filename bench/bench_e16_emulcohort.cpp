@@ -186,7 +186,7 @@ void print_tables() {
     j.set("d_wall_nmax_s", emul_scale_s.back());
     j.set("smoke", static_cast<std::uint64_t>(bench::smoke() ? 1 : 0));
     const std::string path = bench::json_path("BENCH_E16.json");
-    if (j.write(path))
+    if (bench::write_json(j, path))
       std::cout << "  [" << path << " written: a_speedup="
                 << (ws_cohort_s > 0 ? ws_expanded_s / ws_cohort_s : 0.0)
                 << "x at n=" << n_a << ", cohort ladders to n="

@@ -180,7 +180,7 @@ void print_tables() {
     j.set("period_ms", static_cast<std::uint64_t>(2));
     j.set("smoke", static_cast<std::uint64_t>(bench::smoke() ? 1 : 0));
     const std::string path = bench::json_path("BENCH_E17.json");
-    if (j.write(path))
+    if (bench::write_json(j, path))
       std::cout << "  [" << path << " written: round latency "
                 << round_latency_ms.front() << " -> "
                 << round_latency_ms.back() << " ms/round over n=3..9, abd "

@@ -84,7 +84,7 @@ void write_bench_json() {
   j.set("bytes_omega", rep_omega.bytes);
   j.set("smoke", static_cast<std::uint64_t>(bench::smoke() ? 1 : 0));
   const std::string path = bench::json_path("BENCH_E3.json");
-  if (j.write(path))
+  if (bench::write_json(j, path))
     std::cout << "  [" << path << " written: pseudo_s=" << ab.a
               << " omega_s=" << ab.b << "]\n";
 }

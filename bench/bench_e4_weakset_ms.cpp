@@ -149,7 +149,7 @@ void write_bench_json(const std::vector<std::uint64_t>& seeds) {
   j.set("alg4_sweep_violations", static_cast<std::uint64_t>(run_violations));
   j.set("smoke", static_cast<std::uint64_t>(bench::smoke() ? 1 : 0));
   const std::string path = bench::json_path("BENCH_E4.json");
-  if (j.write(path))
+  if (bench::write_json(j, path))
     std::cout << "  [" << path << " written: ref_s=" << ab.a
               << " sweep_s=" << ab.b << " speedup=" << ab.ratio()
               << " certify_" << big_ops << "_s=" << big_s << "]\n";

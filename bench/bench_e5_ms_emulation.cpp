@@ -80,7 +80,7 @@ void write_bench_json(const std::vector<std::uint64_t>& seeds) {
                         : "NO"));
   j.set("smoke", static_cast<std::uint64_t>(bench::smoke() ? 1 : 0));
   const std::string path = bench::json_path("BENCH_E5.json");
-  if (j.write(path))
+  if (bench::write_json(j, path))
     std::cout << "  [" << path << " written: ref_s=" << ab.a
               << " interned_s=" << ab.b << " speedup=" << ab.ratio() << "]\n";
 }

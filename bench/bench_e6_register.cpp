@@ -71,7 +71,7 @@ void write_bench_json(const std::vector<std::uint64_t>& seeds) {
   j.set("abd_messages", abd_msgs);
   j.set("smoke", static_cast<std::uint64_t>(bench::smoke() ? 1 : 0));
   const std::string path = bench::json_path("BENCH_E6.json");
-  if (j.write(path))
+  if (bench::write_json(j, path))
     std::cout << "  [" << path << " written: ws_s=" << ab.a
               << " abd_s=" << ab.b << "]\n";
 }

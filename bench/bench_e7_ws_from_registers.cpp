@@ -146,7 +146,7 @@ void write_bench_json(const std::vector<std::uint64_t>& seeds) {
         static_cast<std::uint64_t>(violations_of(report)));
   j.set("smoke", static_cast<std::uint64_t>(bench::smoke() ? 1 : 0));
   const std::string path = bench::json_path("BENCH_E7.json");
-  if (j.write(path))
+  if (bench::write_json(j, path))
     std::cout << "  [" << path << " written: ref_s=" << ab.a
               << " sweep_s=" << ab.b << " speedup=" << ab.ratio()
               << " certify_" << big_ops << "_s=" << big_s << "]\n";

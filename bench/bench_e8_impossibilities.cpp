@@ -55,7 +55,7 @@ void write_bench_json() {
   add_report_totals(j, report);
   j.set("smoke", static_cast<std::uint64_t>(bench::smoke() ? 1 : 0));
   const std::string path = bench::json_path("BENCH_E8.json");
-  if (j.write(path))
+  if (bench::write_json(j, path))
     std::cout << "  [" << path << " written: wall_s=" << best << "]\n";
 }
 

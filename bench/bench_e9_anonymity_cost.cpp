@@ -73,7 +73,7 @@ void write_bench_json(const std::vector<std::uint64_t>& seeds,
   j.set("mean_bytes_per_proc_omega", mean(cell_bytes_per_proc(rep_om, n)));
   j.set("smoke", static_cast<std::uint64_t>(bench::smoke() ? 1 : 0));
   const std::string path = bench::json_path("BENCH_E9.json");
-  if (j.write(path))
+  if (bench::write_json(j, path))
     std::cout << "  [" << path << " written: alg3_s=" << ab.a
               << " omega_s=" << ab.b << "]\n";
 }

@@ -47,7 +47,7 @@ class RoundCalendar {
     ANON_CHECK_MSG(key >= base_, "cannot schedule into the past");
     ++size_;
     if (key - base_ < wheel_.size()) {
-      wheel_[slot(key)].push_back(std::move(item));
+      bucket(key).push_back(std::move(item));
       ++in_wheel_;
     } else {
       overflow_.emplace(key, std::move(item));
@@ -82,7 +82,7 @@ class RoundCalendar {
     while (!overflow_.empty() &&
            overflow_.begin()->first - base_ < wheel_.size()) {
       auto node = overflow_.extract(overflow_.begin());
-      wheel_[slot(node.key())].push_back(std::move(node.mapped()));
+      bucket(node.key()).push_back(std::move(node.mapped()));
       ++in_wheel_;
     }
   }
@@ -96,16 +96,23 @@ class RoundCalendar {
   }
 
   // Like take_due(), but recycles the caller's buffer: `out` is cleared,
-  // then swapped with the due bucket, so the bucket inherits out's old
-  // capacity.  A caller that feeds its previous batch back in here keeps
-  // capacity circulating between its batch buffer and the ring slots —
-  // the event loop stops allocating once every touched slot is warm.
+  // then swapped with the due bucket, and out's old buffer goes to a
+  // spare pool that the next empty slot to be scheduled into adopts.  A
+  // caller that feeds its previous batch back in here keeps capacity
+  // circulating, so the event loop stops allocating once the buffers are
+  // warm, and the calendar holds one buffer per slot with items pending
+  // rather than one per slot it ever touched.
   void take_due_into(std::vector<T>& out) {
     out.clear();
-    auto& bucket = wheel_[slot(base_)];
-    out.swap(bucket);
+    auto& due = wheel_[slot(base_)];
+    if (due.empty()) return;  // out keeps its buffer
+    out.swap(due);
     in_wheel_ -= out.size();
     size_ -= out.size();
+    if (due.capacity() > 0) {
+      spare_.emplace_back();
+      spare_.back().swap(due);
+    }
   }
 
  private:
@@ -113,7 +120,18 @@ class RoundCalendar {
     return static_cast<std::size_t>(key & (wheel_.size() - 1));
   }
 
+  // The ring slot of `key`, given a spare buffer first if it has none.
+  std::vector<T>& bucket(std::uint64_t key) {
+    std::vector<T>& b = wheel_[slot(key)];
+    if (b.capacity() == 0 && !spare_.empty()) {
+      b.swap(spare_.back());
+      spare_.pop_back();
+    }
+    return b;
+  }
+
   std::vector<std::vector<T>> wheel_;
+  std::vector<std::vector<T>> spare_;  // drained buffers awaiting a slot
   std::multimap<std::uint64_t, T> overflow_;  // keys >= base_ + wheel size
   std::uint64_t base_ = 0;
   std::size_t size_ = 0;

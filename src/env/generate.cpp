@@ -19,18 +19,35 @@ const char* to_string(EnvKind k) {
 EnvDelayModel::EnvDelayModel(EnvParams params, const CrashPlan& crashes)
     : params_(params) {
   ANON_CHECK(params_.n >= 1);
-  crash_round_.resize(params_.n);
-  for (ProcId p = 0; p < params_.n; ++p) crash_round_[p] = crashes.crash_round(p);
-  correct_ = crashes.correct(params_.n);
-  ANON_CHECK_MSG(!correct_.empty(),
+  crashes.for_each_crash([this](ProcId p, Round round) {
+    if (p < params_.n) crashes_.push_back({p, round});
+  });
+  ANON_CHECK_MSG(crashes_.size() < params_.n,
                  "environments require at least one correct process");
-  // ESS: the eventual source is a hash-chosen correct process.
-  stable_source_ =
-      correct_[hash_below(hash_mix(params_.seed, 0x51ab1e, 0, 0),
-                          correct_.size())];
+  // ESS: the eventual source is a hash-chosen correct process, i.e. one
+  // that survives every finite round.
+  stable_source_ = draw_survivor(kNeverCrashes - 1,
+                                 hash_mix(params_.seed, 0x51ab1e, 0, 0));
 }
 
 ProcId EnvDelayModel::stable_source() const { return stable_source_; }
+
+// The survivor of round k (crash_round > k) at index hash_below(h, #alive)
+// in ascending id order.  Starting from that index, every crashed id at or
+// below the candidate pushes it one id up; crashes_ is ascending, so one
+// pass over it suffices.
+ProcId EnvDelayModel::draw_survivor(Round k, std::uint64_t h) const {
+  std::size_t alive = params_.n;
+  for (const Crash& c : crashes_)
+    if (c.round <= k) --alive;
+  ProcId id = hash_below(h, alive);
+  for (const Crash& c : crashes_) {
+    if (c.round > k) continue;
+    if (c.id > id) break;
+    ++id;
+  }
+  return id;
+}
 
 std::optional<ProcId> EnvDelayModel::planned_source(Round k) const {
   if (params_.kind == EnvKind::kESS && k > params_.stabilization)
@@ -38,12 +55,7 @@ std::optional<ProcId> EnvDelayModel::planned_source(Round k) const {
   // Moving source: hash-pick among processes that survive past round k (they
   // must complete end-of-round k with a full broadcast).  At least one
   // exists: any correct process.
-  std::vector<ProcId> eligible;
-  eligible.reserve(params_.n);
-  for (ProcId p = 0; p < params_.n; ++p)
-    if (crash_round_[p] > k) eligible.push_back(p);
-  return eligible[hash_below(hash_mix(params_.seed, 0x50ce, k, 0),
-                             eligible.size())];
+  return draw_survivor(k, hash_mix(params_.seed, 0x50ce, k, 0));
 }
 
 bool EnvDelayModel::all_timely_at(Round k) const {

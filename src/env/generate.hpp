@@ -22,6 +22,11 @@ namespace anon {
 // A link from the round source is always timely; after GST in ES all links
 // are timely; everything else draws (timely with timely_prob, else delay in
 // [1, max_delay]).
+//
+// Cost: the model keeps only the crashing processes, as (id, crash round)
+// ascending by id, so it holds O(#crashes) memory at any n.  A
+// planned_source or delay query walks that list, O(#crashes) with no
+// allocation; the per-link engines call both once per link.
 class EnvDelayModel final : public DelayModel {
  public:
   EnvDelayModel(EnvParams params, const CrashPlan& crashes);
@@ -40,11 +45,16 @@ class EnvDelayModel final : public DelayModel {
   ProcId stable_source() const;
 
  private:
+  struct Crash {
+    ProcId id;
+    Round round;
+  };
+
   bool all_timely_at(Round k) const;
+  ProcId draw_survivor(Round k, std::uint64_t h) const;
 
   EnvParams params_;
-  std::vector<Round> crash_round_;  // per process, kNeverCrashes if correct
-  std::vector<ProcId> correct_;
+  std::vector<Crash> crashes_;  // ascending by id; ids below params_.n
   ProcId stable_source_ = 0;
 };
 

@@ -13,8 +13,9 @@
 //  * `InboxView<M>` — the set of messages of one round, materialised as a
 //    digest-ordered array of pointers into the shared batches.  Receiving a
 //    batch appends one pointer; deduplication happens once per read via a
-//    digest sort (content comparisons only on digest ties), not via
-//    per-element tree inserts with deep set-of-set comparisons.
+//    digest sort (content comparisons only on digest ties between distinct
+//    objects), not via per-element tree inserts with deep set-of-set
+//    comparisons.
 //
 //  * `InboxWindow<M>` — replaces the unbounded `std::map<Round, std::set<M>>`
 //    per-process inbox map.  GIRAF's consensus algorithms only ever read the
@@ -448,7 +449,8 @@ class InboxWindow {
       const auto& vb = b[i].second->items();
       if (va.size() != vb.size()) return false;
       for (std::size_t j = 0; j < va.size(); ++j)
-        if (va[j].first != vb[j].first || !(*va[j].second == *vb[j].second))
+        if (va[j].first != vb[j].first ||
+            !same_message(va[j].second, vb[j].second))
           return false;
     }
     return true;
@@ -474,9 +476,10 @@ class InboxWindow {
     }
 
     // Rebuilds the merged view if new parts arrived since the last read.
-    // Cost: one (digest, content)-sort over the accumulated pointers; a
-    // pointer-equal part pair (the interner collapse case) dedups without
-    // any content comparison, since equal pointers yield equal digests.
+    // Cost: one (digest, content)-sort over the accumulated pointers.
+    // Content is compared only on a digest tie between two distinct
+    // objects: parts of one interned batch (the anonymity collapse case)
+    // tie on digest and pointer, and order and dedup by pointer alone.
     const InboxView<M>& materialize() const {
       if (merged_parts == parts.size()) return view;
       auto& items = view.items_;
@@ -488,20 +491,24 @@ class InboxWindow {
         for (std::size_t i = 0; i < b->msgs.size(); ++i)
           items.emplace_back(b->digests[i], &b->msgs[i]);
       std::sort(items.begin(), items.end(), [](const auto& x, const auto& y) {
-        return detail::digest_content_less(x.first, *x.second, y.first,
-                                           *y.second);
+        if (x.first != y.first) return x.first < y.first;
+        return x.second != y.second && *x.second < *y.second;
       });
       items.erase(std::unique(items.begin(), items.end(),
                               [](const auto& x, const auto& y) {
                                 return x.first == y.first &&
-                                       (x.second == y.second ||
-                                        *x.second == *y.second);
+                                       same_message(x.second, y.second);
                               }),
                   items.end());
       merged_parts = parts.size();
       return view;
     }
   };
+
+  // Message equality that never compares an object with itself.
+  static bool same_message(const M* a, const M* b) {
+    return a == b || *a == *b;
+  }
 
   std::size_t slot_index(Round k) const {
     return static_cast<std::size_t>(k & 3);

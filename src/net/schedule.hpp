@@ -114,6 +114,13 @@ class CrashPlan {
   // Processes that never crash, out of n.
   std::vector<ProcId> correct(std::size_t n) const;
 
+  // Calls fn(p, crash_round) for every process that crashes, ascending by p.
+  template <typename Fn>
+  void for_each_crash(Fn fn) const {
+    for (const auto& [p, spec] : specs_)
+      if (spec.crash_round != kNeverCrashes) fn(p, spec.crash_round);
+  }
+
   std::size_t crash_count() const { return specs_.size(); }
 
  private:

@@ -13,6 +13,13 @@
 // The measurement window is placed between BatchInterner compaction
 // generations (every 64 round_resets) so the counter sees only the round
 // path itself.
+//
+// The LockstepNet cases also run under real environments, whose moving
+// round source is drawn once per link (EnvDelayModel::delay and the fault
+// plan's source exemption): MS and ESS before stabilization, each with two
+// crashes, must stay at zero; with an exempt-source fault plan, random
+// loss and reordering keep growing calendar-slot capacity for a while, so
+// that window is only held below n allocations.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,8 +29,11 @@
 #include <vector>
 
 #include "algo/es_consensus.hpp"
+#include "core/calendar.hpp"
 #include "emul/echo.hpp"
 #include "emul/ms_emulation_cohort.hpp"
+#include "env/faults.hpp"
+#include "env/generate.hpp"
 #include "net/cohort.hpp"
 #include "net/lockstep.hpp"
 #include "net/schedule.hpp"
@@ -84,7 +94,9 @@ std::size_t measure_steady_rounds(Net& net) {
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
-std::size_t lockstep_steady_allocations() {
+std::size_t lockstep_window_allocations(const DelayModel& delays,
+                                        const CrashPlan& crashes,
+                                        const FaultPlan* faults = nullptr) {
   std::vector<std::unique_ptr<Automaton<EsMessage>>> autos;
   for (const Value& v : initial_values())
     autos.push_back(std::make_unique<EsConsensus>(v));
@@ -93,11 +105,31 @@ std::size_t lockstep_steady_allocations() {
   opt.record_trace = false;
   opt.record_deliveries = false;
   opt.halt_policy = HaltPolicy::kContinueForever;
-  const SynchronousDelays delays;
-  LockstepNet<EsMessage> net(std::move(autos), delays, CrashPlan{}, opt);
+  opt.faults = faults;
+  LockstepNet<EsMessage> net(std::move(autos), delays, crashes, opt);
   const std::size_t allocs = measure_steady_rounds(net);
   EXPECT_TRUE(net.all_correct_decided()) << "run must converge in warm-up";
   return allocs;
+}
+
+// Two crashes inside the warm-up, so every measured source draw walks a
+// non-empty crash list.
+CrashPlan two_crashes() {
+  CrashPlan crashes;
+  crashes.crash_at(5, 3);
+  crashes.crash_at(20, 9);
+  return crashes;
+}
+
+// An environment whose round source moves in every measured round (ESS
+// stabilizes long after the window).
+EnvParams moving_source_env(EnvKind kind) {
+  EnvParams env;
+  env.kind = kind;
+  env.n = kN;
+  env.seed = 42;
+  env.stabilization = 1000;
+  return env;
 }
 
 std::size_t cohort_steady_allocations(std::size_t engine_threads) {
@@ -116,8 +148,37 @@ std::size_t cohort_steady_allocations(std::size_t engine_threads) {
 }
 
 TEST(AllocationSteadyState, SerialLockstepRoundsAreAllocationFree) {
-  EXPECT_EQ(lockstep_steady_allocations(), 0u)
+  const SynchronousDelays delays;
+  EXPECT_EQ(lockstep_window_allocations(delays, CrashPlan{}), 0u)
       << "serial LockstepNet allocated on the steady-state round path";
+}
+
+TEST(AllocationSteadyState, LockstepRoundsUnderMsAreAllocationFree) {
+  const CrashPlan crashes = two_crashes();
+  const EnvDelayModel delays(moving_source_env(EnvKind::kMS), crashes);
+  EXPECT_EQ(lockstep_window_allocations(delays, crashes), 0u)
+      << "LockstepNet allocated per round under an MS source draw";
+}
+
+TEST(AllocationSteadyState, LockstepRoundsUnderEssBeforeStabilizationAreAllocationFree) {
+  const CrashPlan crashes = two_crashes();
+  const EnvDelayModel delays(moving_source_env(EnvKind::kESS), crashes);
+  EXPECT_EQ(lockstep_window_allocations(delays, crashes), 0u)
+      << "LockstepNet allocated per round under a pre-stabilization ESS "
+         "source draw";
+}
+
+TEST(AllocationSteadyState, LockstepRoundsUnderExemptSourceFaultsStayBelowN) {
+  const CrashPlan crashes = two_crashes();
+  const EnvDelayModel delays(moving_source_env(EnvKind::kMS), crashes);
+  FaultParams params;
+  params.loss_prob = 0.15;
+  params.dup_prob = 0.05;
+  params.reorder_prob = 0.1;
+  ASSERT_TRUE(params.exempt_source);
+  const FaultPlan faults(params, 42, kN, &delays);
+  EXPECT_LT(lockstep_window_allocations(delays, crashes, &faults), kN)
+      << "the source exemption allocated per link";
 }
 
 TEST(AllocationSteadyState, SerialCohortRoundsAreAllocationFree) {
@@ -128,6 +189,25 @@ TEST(AllocationSteadyState, SerialCohortRoundsAreAllocationFree) {
 TEST(AllocationSteadyState, ShardedCohortRoundsAreAllocationFree) {
   EXPECT_EQ(cohort_steady_allocations(4), 0u)
       << "sharded CohortNet allocated on the steady-state round path";
+}
+
+// A lock-step loop fills a fresh ring slot every round and walks all 64
+// slots.  The calendar hands each drained buffer to the next slot it
+// fills, so after the first rounds no slot allocates: two buffers
+// circulate instead of one pinned to every slot ever touched.
+TEST(AllocationSteadyState, CalendarRecyclesBuffersAcrossRingSlots) {
+  RoundCalendar<int> calendar;
+  std::vector<int> due;
+  const auto round = [&](std::uint64_t r) {
+    calendar.advance_to(r);
+    calendar.take_due_into(due);
+    for (int i = 0; i < 1000; ++i) calendar.schedule(r + 1, i);
+  };
+  for (std::uint64_t r = 0; r < 4; ++r) round(r);
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::uint64_t r = 4; r < 200; ++r) round(r);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u)
+      << "calendar slots allocated their own buffers";
 }
 
 // The cohort-collapsed emulation cannot be allocation-free — every emulated

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "common/value.hpp"
 #include "net/lockstep.hpp"
@@ -93,6 +95,72 @@ TEST_P(EnvGenTest, MsScheduleWithCrashesStillHasSources) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EnvGenTest,
                          ::testing::Values(1, 2, 3, 7, 41, 1234, 99999));
+
+// The source draw as EnvDelayModel made it while it kept per-process
+// arrays: scan all n processes into an eligible vector, then index it with
+// the round's hash.  The model now walks only its crash list; every draw
+// must still pick the same process.
+ProcId scan_stable_source(const EnvParams& env, const CrashPlan& crashes) {
+  const std::vector<ProcId> correct = crashes.correct(env.n);
+  return correct[hash_below(hash_mix(env.seed, 0x51ab1e, 0, 0),
+                            correct.size())];
+}
+
+std::optional<ProcId> scan_planned_source(const EnvParams& env,
+                                          const CrashPlan& crashes, Round k) {
+  if (env.kind == EnvKind::kESS && k > env.stabilization)
+    return scan_stable_source(env, crashes);
+  std::vector<ProcId> eligible;
+  for (ProcId p = 0; p < env.n; ++p)
+    if (crashes.crash_round(p) > k) eligible.push_back(p);
+  return eligible[hash_below(hash_mix(env.seed, 0x50ce, k, 0),
+                             eligible.size())];
+}
+
+// Crash plans over n processes, each leaving at least one correct process:
+// none, one crash at round 1, several at one round, and all but one
+// process at spread rounds.  Every crash round lies in [1, 59], so k in
+// [0, 60] covers one below, at and one above each of them.
+std::vector<CrashPlan> source_draw_plans(std::size_t n) {
+  std::vector<CrashPlan> plans(1);  // no crashes
+  if (n < 2) return plans;
+  CrashPlan first;
+  first.crash_at(n - 1, 1);
+  plans.push_back(first);
+  CrashPlan several;
+  for (ProcId p : {n - 1, ProcId{0}, n / 2})
+    if (several.crash_count() + 1 < n) several.crash_at(p, 12);
+  plans.push_back(several);
+  CrashPlan all_but_one;
+  const ProcId survivor = n / 3;
+  for (ProcId p = 0; p < n; ++p)
+    if (p != survivor) all_but_one.crash_at(p, 1 + (p * 7) % 59);
+  plans.push_back(all_but_one);
+  return plans;
+}
+
+TEST(EnvDelayModel, SourceDrawMatchesTheEligibleScan) {
+  std::size_t draws = 0;
+  for (EnvKind kind : {EnvKind::kMS, EnvKind::kES, EnvKind::kESS})
+    for (std::uint64_t seed : {1ull, 7ull, 42ull, 99999ull})
+      for (std::size_t n : {1, 2, 3, 17, 64})
+        for (const CrashPlan& crashes : source_draw_plans(n)) {
+          EnvParams env;
+          env.kind = kind;
+          env.n = n;
+          env.seed = seed;
+          env.stabilization = 20;
+          const EnvDelayModel model(env, crashes);
+          ASSERT_EQ(model.stable_source(), scan_stable_source(env, crashes))
+              << "seed " << seed << " n " << n;
+          for (Round k = 0; k <= 60; ++k, ++draws)
+            ASSERT_EQ(model.planned_source(k),
+                      scan_planned_source(env, crashes, k))
+                << to_string(kind) << " seed " << seed << " n " << n
+                << " crashes " << crashes.crash_count() << " k " << k;
+        }
+  EXPECT_GT(draws, 10000u);
+}
 
 TEST(EnvValidate, DetectsMissingSource) {
   // Hand-build a trace where round 2 has no timely source.

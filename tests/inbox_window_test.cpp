@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "common/value.hpp"
 
 namespace anon {
@@ -14,6 +17,39 @@ ValueSet vs(std::initializer_list<std::int64_t> xs) {
   ValueSet s;
   for (auto x : xs) s.insert(Value(x));
   return s;
+}
+
+// A message that counts its content comparisons, and those of an object
+// with itself.  It has no MessageDigest specialization, so every message
+// digests to the fallback constant and every pair of messages ties on
+// digest: only pointer identity can spare a content compare.
+struct Counted {
+  int v = 0;
+  static inline std::size_t compares = 0;
+  static inline std::size_t self_compares = 0;
+
+  static void note(const Counted& a, const Counted& b) {
+    ++compares;
+    if (&a == &b) ++self_compares;
+  }
+  friend bool operator==(const Counted& a, const Counted& b) {
+    note(a, b);
+    return a.v == b.v;
+  }
+  friend bool operator<(const Counted& a, const Counted& b) {
+    note(a, b);
+    return a.v < b.v;
+  }
+};
+
+SharedBatch<Counted> counted_batch(int v) {
+  return std::make_shared<const MessageBatch<Counted>>(
+      detail::make_batch(std::vector<Counted>{Counted{v}}));
+}
+
+void reset_compares() {
+  Counted::compares = 0;
+  Counted::self_compares = 0;
 }
 
 TEST(InboxWindow, RejectsReadsOutsideTheTwoRoundWindow) {
@@ -133,6 +169,47 @@ TEST(BatchInterner, SharedBatchesFeedReceiverInboxes) {
   receiver.add_shared(p2, 1);  // pointer-equal: dedups without compares
   EXPECT_EQ(receiver.at(1).size(), 1u);
   EXPECT_EQ(receiver.at(1).count(vs({4})), 1u);
+}
+
+TEST(InboxWindow, InternedPartsMergeByIdentity) {
+  // One interned batch received from 64 senders, plus three distinct
+  // batches: the merge must order and dedup the 64 parts by pointer and
+  // never compare a message with itself.
+  const SharedBatch<Counted> shared = counted_batch(5);
+  InboxWindow<Counted> w;
+  w.advance_to(2);
+  for (int i = 0; i < 64; ++i) w.add_shared(shared, 2);
+  for (int v : {9, 1, 7}) w.add_shared(counted_batch(v), 2);
+  reset_compares();
+  const InboxView<Counted>& view = w.at(2);
+  EXPECT_EQ(Counted::self_compares, 0u)
+      << "of " << Counted::compares << " content compares";
+  ASSERT_EQ(view.size(), 4u);
+  std::vector<int> got;
+  for (const Counted& m : view) got.push_back(m.v);
+  EXPECT_EQ(got, (std::vector<int>{1, 5, 7, 9}));
+}
+
+TEST(InboxWindow, SameContentComparesPayloadPointersFirst) {
+  // Two windows holding the same payload objects are equal without a
+  // single content compare.
+  const SharedBatch<Counted> a = counted_batch(3);
+  const SharedBatch<Counted> b = counted_batch(4);
+  InboxWindow<Counted> x, y, z;
+  for (InboxWindow<Counted>* w : {&x, &y, &z}) w->advance_to(2);
+  x.add_shared(a, 2);
+  x.add_shared(b, 2);
+  y.add_shared(b, 2);
+  y.add_shared(a, 2);
+  z.add_shared(counted_batch(3), 2);  // equal content, distinct objects
+  z.add_shared(counted_batch(4), 2);
+  for (InboxWindow<Counted>* w : {&x, &y, &z}) w->at(2);  // materialize
+  reset_compares();
+  EXPECT_TRUE(x.same_content(y));
+  EXPECT_EQ(Counted::compares, 0u);
+  EXPECT_TRUE(x.same_content(z));  // content equality still decides
+  EXPECT_GT(Counted::compares, 0u);
+  EXPECT_EQ(Counted::self_compares, 0u);
 }
 
 TEST(InboxWindow, OverflowParkingIsCountedAndDrainsOnAdvance) {
