@@ -38,9 +38,15 @@
 //    adversarial pre-GST timing) this degrades gracefully to n singleton
 //    cohorts — the expanded simulation, at the expanded price.
 //  * Split (crash): a member crashing at round k shares its class's final
-//    compute, but its partial final broadcast is per-link (the audience is
-//    per receiver) and it takes no further steps: its decision state is
-//    finalized and it leaves the member list.
+//    compute, then takes no further steps: its decision state is
+//    finalized and it leaves the member list.  Its partial final broadcast
+//    reaches two receiver sets, its final audience at the round's delay
+//    and (with the relay) everyone else later.  In a uniform round each
+//    set is one calendar entry, so a crash costs two entries and, at
+//    delivery, one audience membership test per (member, due audience
+//    entry); the members' received sets then split classes like any
+//    other asymmetry.  Per-link crash entries remain only in rounds that
+//    are asymmetric anyway (no uniform delay, or an active fault plan).
 //  * Merge: after each delivery phase, cohorts are bucketed by state digest
 //    (`Automaton::state_digest` ⊕ round ⊕ inbox content digest) and
 //    buckets are confirmed with exact `state_equals`/`same_content`
@@ -64,12 +70,11 @@
 // no second copy of any wave, and the expanded `LockstepNet` is the
 // differential oracle.
 //
-// Per-round scratch that is map-shaped (receiver partitions and split maps
-// of asymmetric rounds) lives in a `RoundArena` (core/arena.hpp): bump
-// allocations reclaimed wholesale at the next round's reset.  Flat scratch
-// (digest/merge buckets, canonicalization tables, the due-entry buffer)
-// lives in capacity-retaining member vectors.  Either way the steady state
-// allocates nothing (tests/allocation_steady_state_test.cpp).
+// Per-round scratch (the delivery partition's atoms and signatures,
+// digest/merge buckets, canonicalization tables, the due-entry buffer)
+// lives in flat capacity-retaining member vectors, so the steady state
+// allocates nothing (tests/allocation_steady_state_test.cpp) and a crash
+// round allocates per class it creates, not per member.
 #pragma once
 
 #include <algorithm>
@@ -79,12 +84,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
-#include "core/arena.hpp"
 #include "core/calendar.hpp"
 #include "core/partition.hpp"
 #include "core/sweep.hpp"
@@ -173,6 +176,16 @@ class CohortNet {
     interners_.resize(shard_count_);
     cohort_of_.assign(n_, kNoCohort);
     decision_round_.assign(n_, kNoRound);
+    // Crash events, in firing order (ties broken by process id for
+    // deterministic death bookkeeping), and the per-process flag every
+    // correct-member count reads.
+    ever_crashes_.assign(n_, 0);
+    crashes_.for_each_crash([this](ProcId p, Round round) {
+      if (p >= n_) return;
+      crash_events_.emplace_back(round, p);
+      ever_crashes_[p] = 1;
+    });
+    std::sort(crash_events_.begin(), crash_events_.end());
     cohorts_.reserve(groups.size());
     for (InitGroup& g : groups) {
       ANON_CHECK(!g.members.empty());
@@ -184,18 +197,12 @@ class CohortNet {
         ANON_CHECK_MSG(p < n_ && cohort_of_[p] == kNoCohort,
                        "InitGroup members must partition [0, n)");
         cohort_of_[p] = 0;  // provisional; the reindex assigns real indices
-        if (!crashes_.ever_crashes(p)) ++c->correct_members;
       }
+      c->correct_members = correct_count(c->members);
       cohorts_.push_back(std::move(c));
     }
     purge_sort_reindex();
     stats_.cohorts = stats_.max_cohorts = cohorts_.size();
-    // Crash events, in firing order (ties broken by process id for
-    // deterministic death bookkeeping).
-    for (ProcId p = 0; p < n_; ++p)
-      if (Round c = crashes_.crash_round(p); c != kNeverCrashes)
-        crash_events_.emplace_back(c, p);
-    std::sort(crash_events_.begin(), crash_events_.end());
     // Metric fast path: with no crashes and no halt policy nobody ever
     // leaves the alive∩non-halted set, so broadcast deliveries are a
     // closed-form count and entries need no sender snapshots.
@@ -214,7 +221,10 @@ class CohortNet {
   // Shards the engine partitions classes into.
   std::size_t engine_shards() const { return shard_count_; }
 
-  bool is_correct(ProcId p) const { return !crashes_.ever_crashes(p); }
+  bool is_correct(ProcId p) const {
+    ANON_CHECK(p < n_);
+    return ever_crashes_[p] == 0;
+  }
 
   std::optional<Value> decision(ProcId p) const {
     ANON_CHECK(p < n_);
@@ -297,7 +307,7 @@ class CohortNet {
     split->rep = c.rep->clone();
     ++stats_.clones;
     split->members = {p};
-    split->correct_members = crashes_.ever_crashes(p) ? 0u : 1u;
+    split->correct_members = is_correct(p) ? 1u : 0u;
     split->decided_noted = c.decided_noted;
     c.members.erase(std::find(c.members.begin(), c.members.end(), p));
     c.correct_members -= split->correct_members;
@@ -345,17 +355,38 @@ class CohortNet {
   };
 
   // One calendar entry.  A broadcast entry stands for `copies` identical
-  // per-link sends to every other process; a unicast entry is one link
-  // (per-link delays, crash audiences and relays).
+  // per-link sends to every other process.  A unicast entry is one link
+  // (per-link delays and faults).  An audience or relay entry is one side
+  // of a crashed sender's final broadcast in a uniform round: the
+  // receivers in its final audience, or all the others.
+  enum class Kind : std::uint8_t { kBroadcast, kUnicast, kAudience, kRelay };
   struct Pending {
     SharedBatch<M> payload;
     Round msg_round = 0;
     std::uint32_t copies = 1;
-    ProcId receiver = 0;  // unicast only
-    bool broadcast = false;
+    Kind kind = Kind::kUnicast;
+    ProcId peer = 0;  // unicast: the receiver; audience/relay: the sender
     // Sender-class snapshot for the delivery-count fallback; null when the
     // closed-form count applies (no crashes, no halt policy).
     std::shared_ptr<const std::vector<ProcId>> senders;
+  };
+
+  // Delivery-partition scratch (deliver_links).  An atom is one distinct
+  // (msg_round, payload) pair among the round's due non-broadcast entries.
+  struct UnicastRef {
+    ProcId receiver = 0;
+    std::uint32_t atom = 0;
+  };
+  struct AudienceRef {
+    FinalAudience audience;
+    bool inside = true;  // kAudience: its members; kRelay: the rest
+    std::uint32_t atom = 0;
+    std::uint64_t size = 0;  // payload messages, per matched receiver
+  };
+  struct SigGroup {
+    std::uint32_t first = 0;  // index of its first member in the class
+    std::uint32_t size = 0;
+    std::uint64_t hash = 0;
   };
 
   // The compute wave's per-class output, staged for cross-shard payload
@@ -585,6 +616,10 @@ class CohortNet {
 
     const std::size_t dying_count = dying ? dying->size() : 0;
     const std::size_t survivors = c.members.size() - dying_count;
+    auto is_dying = [dying](ProcId p) {
+      return dying != nullptr &&
+             std::find(dying->begin(), dying->end(), p) != dying->end();
+    };
 
     if (survivors > 0) {
       if (ud.has_value()) {
@@ -597,7 +632,7 @@ class CohortNet {
         e.payload = payload;
         e.msg_round = k;
         e.copies = static_cast<std::uint32_t>(survivors);
-        e.broadcast = true;
+        e.kind = Kind::kBroadcast;
         if (needs_snapshots_) {
           if (dying_count == 0) {
             e.senders = std::make_shared<const std::vector<ProcId>>(c.members);
@@ -605,8 +640,7 @@ class CohortNet {
             std::vector<ProcId> alive;
             alive.reserve(survivors);
             for (ProcId p : c.members)
-              if (std::find(dying->begin(), dying->end(), p) == dying->end())
-                alive.push_back(p);
+              if (!is_dying(p)) alive.push_back(p);
             e.senders =
                 std::make_shared<const std::vector<ProcId>>(std::move(alive));
           }
@@ -616,79 +650,96 @@ class CohortNet {
         // Asymmetric round: per-link scheduling (the expanded engine's
         // cost, paid only while the adversary actually differentiates).
         for (ProcId p : c.members) {
-          if (dying != nullptr &&
-              std::find(dying->begin(), dying->end(), p) != dying->end())
-            continue;
-          for (ProcId q = 0; q < n_; ++q) {
-            if (q == p) continue;
-            Round d = delays_.delay(k, p, q);
-            sends_ += msg_count;
-            bytes_sent_ += batch_bytes;
-            bool dup = false;
-            Round dup_delay = 1;
-            if (opt_.faults != nullptr && opt_.faults->active()) {
-              const LinkFate f = opt_.faults->fate(k, p, q);
-              if (!f.deliver) {
-                fault_drops_ += msg_count;
-                continue;
-              }
-              d += f.extra_delay;
-              if (f.duplicate) {
-                fault_dups_ += msg_count;
-                dup = true;
-                dup_delay = f.dup_delay;
-              }
-            }
-            Pending e;
-            e.payload = payload;
-            e.msg_round = k;
-            e.receiver = q;
-            if (dup) calendar_.schedule(k + d + dup_delay, Pending(e));
-            calendar_.schedule(k + d, std::move(e));
-          }
+          if (is_dying(p)) continue;
+          for (ProcId q = 0; q < n_; ++q)
+            if (q != p)
+              schedule_link(k, p, q, delays_.delay(k, p, q), payload,
+                            msg_count, batch_bytes);
         }
       }
     }
 
     // Crashing members: the final broadcast reaches only the chosen
-    // audience (possibly relayed late) — inherently per link.
+    // audience (the rest, if relayed, late).
     if (dying != nullptr) {
       for (ProcId p : *dying) {
-        for (ProcId q = 0; q < n_; ++q) {
-          if (q == p) continue;
-          Round d = ud.has_value() ? *ud : delays_.delay(k, p, q);
-          if (!crashes_.in_final_audience(p, q, n_, opt_.seed)) {
-            if (!opt_.relay_partial_broadcast) continue;  // lost forever
-            d = std::max<Round>(d, 1) + opt_.relay_extra_delay;
-          }
-          sends_ += msg_count;
-          bytes_sent_ += batch_bytes;
-          bool dup = false;
-          Round dup_delay = 1;
-          if (opt_.faults != nullptr && opt_.faults->active()) {
-            const LinkFate f = opt_.faults->fate(k, p, q);
-            if (!f.deliver) {
-              fault_drops_ += msg_count;
-              continue;
+        const FinalAudience audience = crashes_.final_audience(p, opt_.seed);
+        if (ud.has_value()) {
+          schedule_final_sets(k, p, *ud, audience, payload, msg_count,
+                              batch_bytes);
+        } else {
+          for (ProcId q = 0; q < n_; ++q) {
+            if (q == p) continue;
+            Round d = delays_.delay(k, p, q);
+            if (!audience.contains(q)) {
+              if (!opt_.relay_partial_broadcast) continue;  // lost forever
+              d = std::max<Round>(d, 1) + opt_.relay_extra_delay;
             }
-            d += f.extra_delay;
-            if (f.duplicate) {
-              fault_dups_ += msg_count;
-              dup = true;
-              dup_delay = f.dup_delay;
-            }
+            schedule_link(k, p, q, d, payload, msg_count, batch_bytes);
           }
-          Pending e;
-          e.payload = payload;
-          e.msg_round = k;
-          e.receiver = q;
-          if (dup) calendar_.schedule(k + d + dup_delay, Pending(e));
-          calendar_.schedule(k + d, std::move(e));
         }
         finalize_death(c, p, k);
       }
       remove_dead_members(c);
     }
+  }
+
+  // One link: p's round-k payload to q, `d` rounds out, through the fault
+  // plan's fate for that link — the expanded engine's calendar entry.
+  void schedule_link(Round k, ProcId p, ProcId q, Round d,
+                     const SharedBatch<M>& payload, std::uint64_t msg_count,
+                     std::size_t batch_bytes) {
+    sends_ += msg_count;
+    bytes_sent_ += batch_bytes;
+    Pending e;
+    e.payload = payload;
+    e.msg_round = k;
+    e.peer = q;
+    if (opt_.faults != nullptr && opt_.faults->active()) {
+      const LinkFate f = opt_.faults->fate(k, p, q);
+      if (!f.deliver) {
+        fault_drops_ += msg_count;
+        return;
+      }
+      d += f.extra_delay;
+      if (f.duplicate) {
+        fault_dups_ += msg_count;
+        calendar_.schedule(k + d + f.dup_delay, Pending(e));
+      }
+    }
+    calendar_.schedule(k + d, std::move(e));
+  }
+
+  // A dying member's final broadcast in a uniform round.  Every audience
+  // link has delay ud and every relayed link max(ud, 1) + the relay's
+  // extra delay, so the broadcast is two receiver sets: one entry each,
+  // matched against the members at delivery (deliver_links).  The
+  // counters are the per-link loop's: n − 1 links with the relay, the
+  // audience's links without it.
+  void schedule_final_sets(Round k, ProcId p, Round ud,
+                           const FinalAudience& audience,
+                           const SharedBatch<M>& payload,
+                           std::uint64_t msg_count, std::size_t batch_bytes) {
+    std::uint64_t links = n_ - 1;
+    if (!opt_.relay_partial_broadcast) {
+      links = 0;
+      for (ProcId q = 0; q < n_; ++q)
+        if (q != p && audience.contains(q)) ++links;
+    }
+    sends_ += links * msg_count;
+    bytes_sent_ += links * batch_bytes;
+    Pending e;
+    e.payload = payload;
+    e.msg_round = k;
+    e.kind = Kind::kAudience;
+    e.peer = p;
+    if (opt_.relay_partial_broadcast) {
+      Pending relay = e;
+      relay.kind = Kind::kRelay;
+      calendar_.schedule(k + std::max<Round>(ud, 1) + opt_.relay_extra_delay,
+                         std::move(relay));
+    }
+    calendar_.schedule(k + ud, std::move(e));
   }
 
   // Records a dying member's observable state; the class's final compute
@@ -726,14 +777,16 @@ class CohortNet {
     std::uint64_t alive_nonhalted = 0;
     for (const std::uint64_t sum : reduce_scratch_) alive_nonhalted += sum;
 
-    bool any_unicast = false;
-    bool any_broadcast = false;
+    // The round's broadcasts, collected once in calendar order: the
+    // fan-out below walks only these.
+    bcast_scratch_.clear();
+    bool any_link = false;
     for (const Pending& e : due_scratch_) {
-      if (!e.broadcast) {
-        any_unicast = true;
+      if (e.kind != Kind::kBroadcast) {
+        any_link = true;
         continue;
       }
-      any_broadcast = true;
+      bcast_scratch_.push_back(&e);
       // Metrics: Σ over alive non-halted receivers q of |S \ {q}|.
       std::uint64_t in_set = e.copies;
       if (needs_snapshots_) {
@@ -751,11 +804,11 @@ class CohortNet {
     // merely re-adds their own round message (a set no-op), exactly as
     // peers' identical broadcasts would.  The exchange is unobservable:
     // per-receiver insertion order is preserved and views sort by content.
-    if (any_broadcast)
+    if (!bcast_scratch_.empty())
       for_each_shard([this](std::size_t begin, std::size_t end, std::size_t) {
         receive_broadcasts_range(begin, end);
       });
-    if (any_unicast) deliver_unicasts(due_scratch_, r);
+    if (any_link) deliver_links();
     due_scratch_.clear();
   }
 
@@ -763,118 +816,208 @@ class CohortNet {
     for (std::size_t ci = begin; ci < end; ++ci) {
       Cohort& c = *cohorts_[ci];
       if (c.halted) continue;
-      for (const Pending& e : due_scratch_)
-        if (e.broadcast) c.rep->receive(e.payload, e.msg_round);
+      for (const Pending* e : bcast_scratch_)
+        c.rep->receive(e->payload, e->msg_round);
     }
   }
 
-  // Per-link deliveries: count metrics per entry, then partition each
-  // affected class by the SET of (msg_round, payload) pairs its members
-  // received — the exact condition under which members stay equivalent.
-  // The receiver partition and the split maps are arena-backed: bump
-  // allocations, reclaimed wholesale at the next asymmetric round's reset
-  // (every container below dies before this function returns).
-  void deliver_unicasts(const std::vector<Pending>& due, Round /*r*/) {
-    arena_.reset();
-    auto by_receiver = make_arena_umap<ProcId, ArenaVector<const Pending*>>(
-        arena_, due.size());
-    for (const Pending& e : due) {
-      if (e.broadcast) continue;
-      const std::uint32_t ci = cohort_of_[e.receiver];
-      if (ci == kDead || cohorts_[ci]->halted) continue;  // dropped silently
-      deliveries_ += e.payload->size();
-      auto [it, inserted] = by_receiver.try_emplace(
-          e.receiver, ArenaAlloc<const Pending*>(&arena_));
-      it->second.push_back(&e);
-    }
-    if (by_receiver.empty()) return;
-
-    // (msg_round, payload) identifies content: payloads are interned per
-    // (content, engine round) and canonicalized across shards, so pointer
-    // equality is content equality.
-    using Sig = std::vector<std::pair<Round, SharedBatch<M>>>;
-    auto sig_less = [](const typename Sig::value_type& x,
-                       const typename Sig::value_type& y) {
-      if (x.first != y.first) return x.first < y.first;
-      return x.second.get() < y.second.get();
+  // The delivery partition: every due entry that is not a class broadcast
+  // (per-link unicasts, crash audience and relay sets), in one pass.
+  // Each distinct (msg_round, payload) pair is an atom; a member's
+  // signature is the sorted list of atoms it receives, and each class
+  // splits by signature — the exact condition under which members stay
+  // equivalent.  Payloads are interned per (content, engine round) and
+  // canonicalized across shards, so pointer equality is content equality.
+  void deliver_links() {
+    // Atoms: the distinct (msg_round, payload) keys, sorted — the order a
+    // signature is delivered in.  A sender's links land in runs sharing
+    // one key, so only run heads are sorted and searched.
+    auto key_less = [](const Pending* x, const Pending* y) {
+      if (x->msg_round != y->msg_round) return x->msg_round < y->msg_round;
+      return x->payload.get() < y->payload.get();
     };
-    auto sig_of = [&](ProcId p) {
-      Sig s;
-      auto it = by_receiver.find(p);
-      if (it != by_receiver.end()) {
-        s.reserve(it->second.size());
-        for (const Pending* e : it->second)
-          s.emplace_back(e->msg_round, e->payload);
-        std::sort(s.begin(), s.end(), sig_less);
-        s.erase(std::unique(s.begin(), s.end()), s.end());
+    auto same_key = [](const Pending* x, const Pending* y) {
+      return x->msg_round == y->msg_round && x->payload == y->payload;
+    };
+    atoms_.clear();
+    for (const Pending& e : due_scratch_)
+      if (e.kind != Kind::kBroadcast &&
+          (atoms_.empty() || !same_key(atoms_.back(), &e)))
+        atoms_.push_back(&e);
+    std::sort(atoms_.begin(), atoms_.end(), key_less);
+    atoms_.erase(std::unique(atoms_.begin(), atoms_.end(), same_key),
+                 atoms_.end());
+
+    // Audience sets, resolved once per entry; unicasts to alive non-halted
+    // receivers (the rest drop silently), bucketed by receiver below.
+    audience_scratch_.clear();
+    unicast_scratch_.clear();
+    touched_.assign(cohorts_.size(), 0);
+    const Pending* run = nullptr;
+    std::uint32_t atom = 0;
+    for (const Pending& e : due_scratch_) {
+      if (e.kind == Kind::kBroadcast) continue;
+      if (run == nullptr || !same_key(run, &e)) {
+        run = &e;
+        atom = static_cast<std::uint32_t>(
+            std::lower_bound(atoms_.begin(), atoms_.end(), run, key_less) -
+            atoms_.begin());
       }
-      return s;
-    };
-
-    using ClassAlloc = ArenaAlloc<std::pair<const Sig, std::vector<ProcId>>>;
-    using ClassMap = std::map<Sig, std::vector<ProcId>, std::less<Sig>,
-                              ClassAlloc>;
+      if (e.kind != Kind::kUnicast) {
+        audience_scratch_.push_back({crashes_.final_audience(e.peer, opt_.seed),
+                                     e.kind == Kind::kAudience, atom,
+                                     e.payload->size()});
+        continue;
+      }
+      const std::uint32_t ci = cohort_of_[e.peer];
+      if (ci == kDead || cohorts_[ci]->halted) continue;
+      deliveries_ += e.payload->size();
+      touched_[ci] = 1;
+      unicast_scratch_.push_back({e.peer, atom});
+    }
+    // Counting sort by receiver: receiver p's atoms are
+    // unicast_atoms_[unicast_begin_[p], unicast_begin_[p + 1]).
+    if (!unicast_scratch_.empty()) {
+      unicast_begin_.assign(n_ + 1, 0);
+      for (const UnicastRef& r : unicast_scratch_)
+        ++unicast_begin_[r.receiver + 1];
+      for (std::size_t p = 0; p < n_; ++p)
+        unicast_begin_[p + 1] += unicast_begin_[p];
+      unicast_atoms_.resize(unicast_scratch_.size());
+      for (const UnicastRef& r : unicast_scratch_)
+        unicast_atoms_[unicast_begin_[r.receiver]++] = r.atom;
+      // The fill advanced each start to the next receiver's: shift back.
+      for (std::size_t p = n_; p > 0; --p)
+        unicast_begin_[p] = unicast_begin_[p - 1];
+      unicast_begin_[0] = 0;
+    }
 
     bool structural = false;
     const std::size_t existing = cohorts_.size();
-    for (std::size_t ci = 0; ci < existing; ++ci) {
+    for (std::uint32_t ci = 0; ci < existing; ++ci) {
       Cohort& c = *cohorts_[ci];
-      if (c.halted) continue;
-      // Partition members by signature, preserving member order so the
-      // class layout (and hence everything downstream) is deterministic.
-      ClassMap classes{std::less<Sig>(), ClassAlloc(&arena_)};
-      bool any = false;
-      for (ProcId p : c.members) {
-        Sig s = sig_of(p);
-        if (!s.empty()) any = true;
-        classes[std::move(s)].push_back(p);
-      }
-      if (!any) continue;  // no unicast touched this class
-
-      if (classes.size() == 1) {
-        deliver_sig(c, classes.begin()->first);
+      if (c.halted || (!touched_[ci] && audience_scratch_.empty())) continue;
+      if (!build_signatures(c, touched_[ci])) continue;  // nothing reached it
+      group_signatures(c.members.size());
+      if (sig_groups_.size() == 1) {
+        deliver_sig(c, 0);
         continue;
       }
 
-      // Split: the subclass containing the class's first member keeps the
-      // representative; the others get clones.
+      // Split: the group holding the class's first member keeps the
+      // representative; the others get clones, taken before any delivery.
       structural = true;
-      stats_.splits += classes.size() - 1;
-      const ProcId anchor = c.members.front();
-      std::vector<ProcId> anchor_members;
-      const Sig* anchor_sig = nullptr;
-      for (auto& [sig, members] : classes) {
-        if (std::binary_search(members.begin(), members.end(), anchor)) {
-          anchor_sig = &sig;
-          anchor_members = std::move(members);
-          continue;
-        }
+      stats_.splits += sig_groups_.size() - 1;
+      const std::size_t base = cohorts_.size();
+      for (std::size_t g = 1; g < sig_groups_.size(); ++g) {
         auto split = std::make_unique<Cohort>();
         split->rep = c.rep->clone();
         ++stats_.clones;
-        split->members = members;
-        // halted stays false: halted cohorts never reach the split path
-        // (deliveries to them are dropped above).
+        split->members.reserve(sig_groups_[g].size);
+        // halted stays false: halted classes never reach the split path.
         split->decided_noted = c.decided_noted;
-        for (ProcId p : split->members)
-          if (!crashes_.ever_crashes(p)) ++split->correct_members;
-        deliver_sig(*split, sig);
         cohorts_.push_back(std::move(split));
       }
-      ANON_CHECK(anchor_sig != nullptr);
-      deliver_sig(c, *anchor_sig);
-      c.members = std::move(anchor_members);
-      c.correct_members = 0;
-      for (ProcId p : c.members)
-        if (!crashes_.ever_crashes(p)) ++c.correct_members;
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < c.members.size(); ++i) {
+        const ProcId p = c.members[i];
+        const std::uint32_t g = sig_group_of_[i];
+        if (g == 0)
+          c.members[kept++] = p;
+        else
+          cohorts_[base + g - 1]->members.push_back(p);
+      }
+      c.members.resize(kept);
+      for (std::size_t g = 1; g < sig_groups_.size(); ++g) {
+        Cohort& split = *cohorts_[base + g - 1];
+        split.correct_members = correct_count(split.members);
+        deliver_sig(split, sig_groups_[g].first);
+      }
+      c.correct_members = correct_count(c.members);
+      deliver_sig(c, sig_groups_[0].first);
     }
     if (structural) purge_sort_reindex();
   }
 
-  void deliver_sig(Cohort& c,
-                   const std::vector<std::pair<Round, SharedBatch<M>>>& sig) {
-    for (const auto& [msg_round, batch] : sig)
-      c.rep->receive(batch, msg_round);
+  // Fills sig_atoms_/sig_begin_ with each member's sorted atom list: the
+  // audience sets it falls in (counting a delivery per match) plus, if
+  // the class has any, its unicasts.  False when every list is empty.
+  bool build_signatures(const Cohort& c, bool unicasts) {
+    sig_atoms_.clear();
+    sig_begin_.clear();
+    bool any = false;
+    for (ProcId p : c.members) {
+      const std::size_t begin = sig_atoms_.size();
+      sig_begin_.push_back(begin);
+      for (const AudienceRef& a : audience_scratch_) {
+        if (a.audience.contains(p) != a.inside) continue;
+        sig_atoms_.push_back(a.atom);
+        deliveries_ += a.size;
+      }
+      if (unicasts)
+        sig_atoms_.insert(sig_atoms_.end(),
+                          unicast_atoms_.begin() + unicast_begin_[p],
+                          unicast_atoms_.begin() + unicast_begin_[p + 1]);
+      if (sig_atoms_.size() == begin) continue;
+      any = true;
+      std::sort(sig_atoms_.begin() + begin, sig_atoms_.end());
+      sig_atoms_.erase(
+          std::unique(sig_atoms_.begin() + begin, sig_atoms_.end()),
+          sig_atoms_.end());
+    }
+    sig_begin_.push_back(sig_atoms_.size());
+    return any;
+  }
+
+  // Groups the class's members by equal signature through an
+  // open-addressed table: sig_groups_ in order of first member (group 0
+  // holds the class's first member), sig_group_of_ per member.
+  void group_signatures(std::size_t count) {
+    auto sig = [this](std::size_t i) {
+      return std::pair(sig_atoms_.begin() + sig_begin_[i],
+                       sig_atoms_.begin() + sig_begin_[i + 1]);
+    };
+    int bits = 1;
+    while ((std::size_t{1} << bits) < 2 * count) ++bits;
+    const std::size_t mask = (std::size_t{1} << bits) - 1;
+    constexpr std::uint32_t kFree = std::numeric_limits<std::uint32_t>::max();
+    sig_table_.assign(mask + 1, kFree);
+    sig_groups_.clear();
+    sig_group_of_.resize(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto [begin, end] = sig(i);
+      std::uint64_t h = 0x2545f4914f6cdd1dULL;
+      for (auto it = begin; it != end; ++it) h = detail::mix_digest(h, *it);
+      std::size_t slot = (h * 0x9e3779b97f4a7c15ULL) >> (64 - bits);
+      std::uint32_t g = sig_table_[slot];
+      while (g != kFree) {
+        const auto [gb, ge] = sig(sig_groups_[g].first);
+        if (sig_groups_[g].hash == h && std::equal(begin, end, gb, ge)) break;
+        slot = (slot + 1) & mask;
+        g = sig_table_[slot];
+      }
+      if (g == kFree) {
+        g = static_cast<std::uint32_t>(sig_groups_.size());
+        sig_table_[slot] = g;
+        sig_groups_.push_back({static_cast<std::uint32_t>(i), 0, h});
+      }
+      ++sig_groups_[g].size;
+      sig_group_of_[i] = g;
+    }
+  }
+
+  // Applies member i's signature to class c.
+  void deliver_sig(Cohort& c, std::size_t i) {
+    for (std::size_t a = sig_begin_[i]; a < sig_begin_[i + 1]; ++a) {
+      const Pending& e = *atoms_[sig_atoms_[a]];
+      c.rep->receive(e.payload, e.msg_round);
+    }
+  }
+
+  std::size_t correct_count(const std::vector<ProcId>& members) const {
+    std::size_t count = 0;
+    for (ProcId p : members) count += ever_crashes_[p] == 0;
+    return count;
   }
 
   // Merge pass: digest every class (sharded), group equal digests by
@@ -987,6 +1130,7 @@ class CohortNet {
   std::vector<std::unique_ptr<Cohort>> cohorts_;  // sorted by members.front()
   std::vector<std::uint32_t> cohort_of_;          // per process; kDead = gone
   std::vector<Round> decision_round_;
+  std::vector<std::uint8_t> ever_crashes_;  // per process
   std::map<ProcId, std::optional<Value>> dead_decision_;
   // Frozen death-time automaton clones, for automaton_view (one per
   // crashed process, cloned once in finalize_death).
@@ -1016,7 +1160,18 @@ class CohortNet {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> merge_scratch_;
   std::vector<std::uint64_t> reduce_scratch_;
   std::vector<Pending> due_scratch_;  // recycled take_due buffer
-  RoundArena arena_;  // asymmetric-round receiver partitions + split maps
+  std::vector<const Pending*> bcast_scratch_;  // due broadcasts, in order
+  std::vector<const Pending*> atoms_;  // one representative entry per atom
+  std::vector<std::uint8_t> touched_;  // per class: any unicast due
+  std::vector<UnicastRef> unicast_scratch_;
+  std::vector<std::size_t> unicast_begin_;  // per receiver, plus the end
+  std::vector<std::uint32_t> unicast_atoms_;
+  std::vector<AudienceRef> audience_scratch_;
+  std::vector<std::uint32_t> sig_atoms_;  // signatures, back to back
+  std::vector<std::size_t> sig_begin_;    // per member, plus the end
+  std::vector<std::uint32_t> sig_table_;  // open-addressed group table
+  std::vector<SigGroup> sig_groups_;
+  std::vector<std::uint32_t> sig_group_of_;  // per member
 };
 
 // The standard cohort construction for consensus workloads: processes

@@ -25,20 +25,38 @@ std::uint64_t hash_below(std::uint64_t h, std::uint64_t bound) {
       (static_cast<unsigned __int128>(h) * bound) >> 64);
 }
 
-bool CrashPlan::in_final_audience(ProcId sender, ProcId receiver,
-                                  std::size_t n, std::uint64_t seed) const {
-  auto it = specs_.find(sender);
-  if (it == specs_.end()) return true;
-  const CrashSpec& spec = it->second;
-  if (spec.final_recipients.has_value()) {
-    for (ProcId r : *spec.final_recipients)
+bool FinalAudience::contains(ProcId receiver) const {
+  if (everyone_) return true;
+  if (recipients_ != nullptr) {
+    for (ProcId r : *recipients_)
       if (r == receiver) return true;
     return false;
   }
-  (void)n;
   const std::uint64_t h =
-      hash_mix(seed ^ 0xabcdef1234567890ULL, sender, receiver, spec.crash_round);
-  return (static_cast<double>(h >> 11) * 0x1.0p-53) < spec.final_fraction;
+      hash_mix(salted_seed_, sender_, receiver, crash_round_);
+  return (static_cast<double>(h >> 11) * 0x1.0p-53) < fraction_;
+}
+
+FinalAudience CrashPlan::final_audience(ProcId sender,
+                                        std::uint64_t seed) const {
+  FinalAudience a;
+  auto it = specs_.find(sender);
+  if (it == specs_.end()) return a;
+  const CrashSpec& spec = it->second;
+  a.everyone_ = false;
+  if (spec.final_recipients.has_value())
+    a.recipients_ = &*spec.final_recipients;
+  a.salted_seed_ = seed ^ 0xabcdef1234567890ULL;
+  a.sender_ = sender;
+  a.crash_round_ = spec.crash_round;
+  a.fraction_ = spec.final_fraction;
+  return a;
+}
+
+bool CrashPlan::in_final_audience(ProcId sender, ProcId receiver,
+                                  std::size_t n, std::uint64_t seed) const {
+  (void)n;
+  return final_audience(sender, seed).contains(receiver);
 }
 
 std::vector<ProcId> CrashPlan::correct(std::size_t n) const {

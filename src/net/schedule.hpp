@@ -82,6 +82,24 @@ struct CrashSpec {
   double final_fraction = 0.5;
 };
 
+// One sender's final-broadcast audience, resolved once: the explicit
+// recipient list or the hash draw's parameters.  A receiver test then
+// costs the draw alone, with no plan lookup.  It aliases the plan's
+// recipient list, so the plan must outlive it unchanged.
+class FinalAudience {
+ public:
+  bool contains(ProcId receiver) const;
+
+ private:
+  friend class CrashPlan;
+  bool everyone_ = true;  // the sender never crashes
+  const std::vector<ProcId>* recipients_ = nullptr;
+  std::uint64_t salted_seed_ = 0;
+  ProcId sender_ = 0;
+  Round crash_round_ = 0;
+  double fraction_ = 0;
+};
+
 class CrashPlan {
  public:
   CrashPlan() = default;
@@ -110,6 +128,10 @@ class CrashPlan {
   // (only meaningful when k == crash_round(sender))?
   bool in_final_audience(ProcId sender, ProcId receiver, std::size_t n,
                          std::uint64_t seed) const;
+
+  // The same predicate with the sender fixed: one lookup here, then
+  // `contains(receiver)` draws exactly what in_final_audience would.
+  FinalAudience final_audience(ProcId sender, std::uint64_t seed) const;
 
   // Processes that never crash, out of n.
   std::vector<ProcId> correct(std::size_t n) const;

@@ -14,6 +14,9 @@
 // generations (every 64 round_resets) so the counter sees only the round
 // path itself.
 //
+// A cohort crash round allocates per class it creates, not per member:
+// its window allocates about the same at n = 512 and n = 8192.
+//
 // The LockstepNet cases also run under real environments, whose moving
 // round source is drawn once per link (EnvDelayModel::delay and the fault
 // plan's source exemption): MS and ESS before stabilization, each with two
@@ -208,6 +211,50 @@ TEST(AllocationSteadyState, CalendarRecyclesBuffersAcrossRingSlots) {
   for (std::uint64_t r = 4; r < 200; ++r) round(r);
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u)
       << "calendar slots allocated their own buffers";
+}
+
+// A crash splits a class on the cohort engine, so its rounds cannot be
+// allocation-free, but what they allocate must belong to the classes the
+// crash creates and to the crashed processes' frozen states, not to the
+// members.  The window spans a crash wave of two members and both of its
+// delivery rounds (the audience's at once, the relay's three rounds
+// later), after a warm-up wave of the same shape that grows the delivery
+// scratch to the class size.
+std::size_t cohort_crash_window_allocations(std::size_t n, CohortStats* stats) {
+  CrashPlan crashes;
+  for (const Round k : {Round{2}, Round{8}}) {
+    crashes.crash_at(n / 4 + k, k);
+    crashes.crash_at(3 * n / 4 + k, k);
+  }
+  CohortOptions opt;
+  opt.seed = 42;
+  const SynchronousDelays delays;
+  auto groups = groups_by_initial_value<EsMessage>(
+      std::vector<Value>(n, Value(7)),
+      [](const Value& v) { return std::make_unique<EsConsensus>(v); });
+  CohortNet<EsMessage> net(std::move(groups), delays, crashes, opt);
+  net.run_rounds(7);
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  net.run_rounds(5);
+  const std::size_t allocs =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  *stats = net.stats();
+  return allocs;
+}
+
+TEST(AllocationSteadyState, CohortCrashRoundsAreClassBoundNotNBound) {
+  CohortStats small_stats, large_stats;
+  const std::size_t small = cohort_crash_window_allocations(512, &small_stats);
+  const std::size_t large =
+      cohort_crash_window_allocations(8192, &large_stats);
+  // Same crashes, same class structure at both sizes: the precondition
+  // for comparing the two windows.
+  EXPECT_GT(small_stats.splits, 0u) << "the crashes must split the class";
+  EXPECT_EQ(small_stats.splits, large_stats.splits);
+  EXPECT_EQ(small_stats.merges, large_stats.merges);
+  EXPECT_EQ(small_stats.max_cohorts, large_stats.max_cohorts);
+  EXPECT_LE(large, small + small / 2 + 64)
+      << "n=512 window: " << small << ", n=8192 window: " << large;
 }
 
 // The cohort-collapsed emulation cannot be allocation-free — every emulated

@@ -553,6 +553,202 @@ TEST(ShardedCohortSplit, TriangularRevealFullSplitMatchesSerial) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Crash audiences.  In a uniform round a dying member's final broadcast is
+// two calendar entries, its final audience and the relayed rest, that the
+// delivery partition matches against the members.  Each case steps both
+// engines round by round, comparing the cumulative transport series and
+// the final observation, runs the cohort engine again on 8 shards, and
+// pins the cohort stats to the figures of the per-link crash schedule the
+// audience entries replaced: the class partition did not change.
+
+struct StatsPin {
+  std::uint64_t splits, merges, clones;
+  std::size_t max_cohorts;
+};
+
+// Steps both engines `rounds` rounds and checks the series, the final
+// observation and the stats pin.
+void check_crash_series(const std::vector<Value>& initial,
+                        const DelayModel& delays, const CrashPlan& crashes,
+                        const LockstepOptions& opt, Round rounds,
+                        const StatsPin& pin, const std::string& what) {
+  LockstepNet<EsMessage> e(es_autos(initial), delays, crashes, opt);
+  const auto se = collect_round_series(e, rounds);
+  const Observed oe = observe(e, {e.round(), false});
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+    CohortOptions copt = CohortOptions::from(opt);
+    copt.engine_shards = shards;
+    CohortNet<EsMessage> c(es_groups(initial), delays, crashes, copt);
+    const auto sc = collect_round_series(c, rounds);
+    const std::string label = what + " shards=" + std::to_string(shards);
+    ASSERT_EQ(se.size(), sc.size()) << label;
+    for (std::size_t i = 0; i < se.size(); ++i)
+      EXPECT_EQ(se[i], sc[i]) << label << " step " << i << ": "
+                              << se[i].to_string() << " vs "
+                              << sc[i].to_string();
+    expect_equal(oe, observe(c, {c.round(), false}), label);
+    EXPECT_EQ(c.stats().splits, pin.splits) << label;
+    EXPECT_EQ(c.stats().merges, pin.merges) << label;
+    EXPECT_EQ(c.stats().clones, pin.clones) << label;
+    EXPECT_EQ(c.stats().max_cohorts, pin.max_cohorts) << label;
+  }
+}
+
+LockstepOptions crash_series_options(std::uint64_t seed) {
+  LockstepOptions opt;
+  opt.seed = seed;
+  opt.record_trace = false;
+  return opt;
+}
+
+EnvParams es_env(std::size_t n, std::uint64_t seed, Round gst) {
+  EnvParams env;
+  env.kind = EnvKind::kES;
+  env.n = n;
+  env.seed = seed;
+  env.stabilization = gst;
+  return env;
+}
+
+// Proposals cycling through `period` values: classes of n / period members.
+std::vector<Value> cycled_values(std::size_t n, std::size_t period) {
+  std::vector<Value> out;
+  for (std::size_t i = 0; i < n; ++i)
+    out.push_back(Value(100 + static_cast<std::int64_t>(i % period)));
+  return out;
+}
+
+TEST(CohortCrashAudience, OverSixtyFourAtomsInOneDeliveryRound) {
+  // Processes 0–109 crash in round 3, the first round whose broadcast
+  // carries each process's own proposal: round 3's delivery carries one
+  // audience atom per distinct proposal among them and round 6's as many
+  // relay atoms.  Distinct proposals (n = 160) give 110 atoms, delivered
+  // first to singleton classes; 80 proposals cycled over n = 240 give 80
+  // atoms and leave 50 classes with two survivors each, whose atom lists
+  // split them.
+  auto run = [](std::size_t n, const std::vector<Value>& initial,
+                const StatsPin& pin, const std::string& what) {
+    CrashPlan crashes;
+    for (ProcId p = 0; p < 110; ++p) {
+      CrashSpec spec;
+      spec.crash_round = 3;
+      spec.final_fraction = 0.2 + 0.1 * static_cast<double>(p % 7);
+      crashes.set(p, spec);
+    }
+    const EnvDelayModel delays(es_env(n, 31, 0), crashes);
+    check_crash_series(initial, delays, crashes, crash_series_options(31), 12,
+                       pin, what);
+  };
+  run(160, distinct_values(160), {49, 98, 49, 160}, "distinct");
+  run(240, cycled_values(240, 80), {179, 258, 179, 130}, "cycled");
+}
+
+// Every link of every round takes exactly one round.
+class OneRoundDelays final : public DelayModel {
+ public:
+  Round delay(Round, ProcId, ProcId) const override { return 1; }
+  std::optional<Round> uniform_delay(Round) const override { return Round{1}; }
+};
+
+TEST(CohortCrashAudience, AudienceAndRelayDueInTheSameRound) {
+  // Uniform delay 1 and no extra relay delay: a crash's audience entry
+  // and relay entry both land at k + 1, so every member receives the
+  // final broadcast in one round from one side or the other.
+  const std::size_t n = 24;
+  CrashPlan crashes;
+  crashes.crash_at(4, 2);
+  crashes.crash_at(9, 2);
+  crashes.crash_at(17, 3);
+  const OneRoundDelays delays;
+  LockstepOptions opt = crash_series_options(7);
+  opt.relay_extra_delay = 0;
+  check_crash_series(cycled_values(n, 3), delays, crashes, opt, 16,
+                     {0, 0, 0, 3}, "delay 1, relay +0");
+}
+
+TEST(CohortCrashAudience, RelayOffWithAThirdAudience) {
+  // Best-effort final broadcasts: only the audience (about a third of the
+  // processes) ever hears the dying members, and sends count the
+  // audience's links.
+  const std::size_t n = 48;
+  CrashPlan crashes;
+  for (const auto& [p, round] : std::vector<std::pair<ProcId, Round>>{
+           {2, 2}, {11, 2}, {30, 3}, {41, 5}}) {
+    CrashSpec spec;
+    spec.crash_round = round;
+    spec.final_fraction = 0.34;
+    crashes.set(p, spec);
+  }
+  const EnvDelayModel delays(es_env(n, 13, 0), crashes);
+  LockstepOptions opt = crash_series_options(13);
+  opt.relay_partial_broadcast = false;
+  check_crash_series(cycled_values(n, 4), delays, crashes, opt, 16,
+                     {12, 15, 12, 8}, "relay off, fraction 0.34");
+}
+
+TEST(CohortCrashAudience, ExplicitAudiencesSilentAndNamingTheDead) {
+  // Process 3 crashes silently (an empty audience: with the relay, every
+  // other process hears it late); process 6 crashes in the same round
+  // naming receivers of which 3 is dead by delivery; process 9 later
+  // names 3 and 6, both long dead, and two live receivers.
+  const std::size_t n = 16;
+  CrashPlan crashes;
+  crashes.set(3, CrashSpec{2, std::vector<ProcId>{}, 0.5});
+  crashes.set(6, CrashSpec{2, std::vector<ProcId>{1, 3, 12}, 0.5});
+  crashes.set(9, CrashSpec{4, std::vector<ProcId>{3, 6, 0, 14}, 0.5});
+  const EnvDelayModel delays(es_env(n, 21, 0), crashes);
+  for (const bool relay : {true, false}) {
+    LockstepOptions opt = crash_series_options(21);
+    opt.relay_partial_broadcast = relay;
+    check_crash_series(cycled_values(n, 2), delays, crashes, opt, 14,
+                       relay ? StatsPin{4, 5, 4, 4} : StatsPin{3, 4, 3, 4},
+                       relay ? "explicit, relay" : "explicit, no relay");
+  }
+}
+
+TEST(CohortCrashAudience, HaltedClassesIgnoreAudienceEntries) {
+  // Literal decide-then-halt: early partial crashes split the classes so
+  // they decide in different rounds, and later audience entries meet a
+  // mix of halted and running classes.
+  const std::size_t n = 40;
+  CrashPlan crashes;
+  for (const auto& [p, round] : std::vector<std::pair<ProcId, Round>>{
+           {5, 1}, {13, 1}, {22, 2}, {31, 3}, {8, 4}, {17, 5}, {26, 6}}) {
+    CrashSpec spec;
+    spec.crash_round = round;
+    spec.final_fraction = 0.45;
+    crashes.set(p, spec);
+  }
+  const EnvDelayModel delays(es_env(n, 5, 0), crashes);
+  LockstepOptions opt = crash_series_options(5);
+  opt.halt_policy = HaltPolicy::kStopAfterDecide;
+  check_crash_series(cycled_values(n, 5), delays, crashes, opt, 18,
+                     {43, 47, 43, 21}, "stop after decide");
+}
+
+TEST(CohortCrashAudience, CrashesStraddlingGst) {
+  // GST 4: the crashes of rounds 2–4 are scheduled per link with delays
+  // up to 3 rounds, those of rounds 5–7 as audience sets, so late per-link
+  // entries and audience entries fall due in the same rounds.
+  const std::size_t n = 36;
+  CrashPlan crashes;
+  for (const auto& [p, round] : std::vector<std::pair<ProcId, Round>>{
+           {1, 2}, {12, 3}, {20, 4}, {27, 4}, {7, 5}, {33, 6}, {16, 7}}) {
+    CrashSpec spec;
+    spec.crash_round = round;
+    spec.final_fraction = 0.5;
+    crashes.set(p, spec);
+  }
+  EnvParams env = es_env(n, 17, 4);
+  env.max_delay = 3;
+  env.timely_prob = 0.3;
+  const EnvDelayModel delays(env, crashes);
+  check_crash_series(cycled_values(n, 3), delays, crashes,
+                     crash_series_options(17), 20, {41, 43, 41, 13},
+                     "straddling GST");
+}
+
 TEST(ShardedCohortBackend, RunnerReportsMatchAtEveryThreadCount) {
   // End-to-end through run_consensus with backend=cohort: the full report
   // string must be identical at every engine_threads value.
