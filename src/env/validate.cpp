@@ -1,11 +1,9 @@
 #include "env/validate.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <limits>
 #include <sstream>
 
-#include "common/check.hpp"
 #include "net/schedule.hpp"
 
 namespace anon {
@@ -21,107 +19,94 @@ std::string EnvCheckResult::to_string() const {
   return os.str();
 }
 
-EnvCheckResult check_environment(const Trace& trace, std::size_t n,
-                                 const std::vector<ProcId>& correct) {
-  EnvCheckResult res;
+EnvMonitor::EnvMonitor(std::size_t n, const std::vector<ProcId>& correct)
+    : n_(n), words_((n + 63) / 64), correct_(words_, 0), completed_(n, 0) {
   ANON_CHECK(!correct.empty());
+  for (ProcId p : correct) {
+    ANON_CHECK(p < n_);
+    correct_[p / 64] |= bit(p);
+  }
+  for (ProcId p = 0; p < n_; ++p)
+    if (is_correct(p)) correct_ids_.push_back(p);
+}
 
-  // Rounds completed per process.
-  std::vector<Round> completed(n, 0);
-  for (const auto& e : trace.end_of_rounds())
-    completed[e.process] = std::max(completed[e.process], e.round);
+void EnvMonitor::grow(Round k) {
+  const Round rows = std::max<Round>(k + 1, 2 * rounds_);
+  // Rows are indexed by round: a round near 2^64 is a corrupt event, and
+  // must not wrap the row count below it.
+  ANON_CHECK(k < rows && rows <= std::numeric_limits<std::size_t>::max() /
+                                     (n_ * words_));
+  rounds_ = rows;
+  eor_.resize(rounds_ * words_, 0);
+  receivers_.resize(rounds_ * n_ * words_, 0);
+  reached_.resize(rounds_ * n_, 0);
+}
 
+EnvCheckResult EnvMonitor::result() const {
+  EnvCheckResult res;
   Round K = kNeverCrashes;
-  for (ProcId p : correct) K = std::min(K, completed[p]);
+  for (ProcId p : correct_ids_) K = std::min(K, completed_[p]);
   if (K == kNeverCrashes || K <= 1) return res;  // nothing checkable
   K -= 1;  // the slowest process's current round is still open
   res.checked_rounds = K;
+  res.sources.reserve(K);
 
-  // timely[(sender, k)] = receivers that got sender's round-k message no
-  // later than their own round k (early receipt — receiver still in an
-  // older round — is fine: the message sits in M[k] in time for
-  // compute(k); only receiver_round > k misses the round).
-  std::map<std::pair<ProcId, Round>, std::set<ProcId>> timely;
-  for (const auto& d : trace.deliveries())
-    if (d.receiver_round <= d.msg_round && d.msg_round <= K)
-      timely[{d.sender, d.msg_round}].insert(d.receiver);
-
-  // Which processes executed end-of-round k (sent a round-k message).
-  std::set<std::pair<ProcId, Round>> eor;
-  for (const auto& e : trace.end_of_rounds()) eor.insert({e.process, e.round});
-
-  const std::set<ProcId> correct_set(correct.begin(), correct.end());
-
-  auto is_timely_source = [&](ProcId s, Round k) {
-    if (eor.count({s, k}) == 0) return false;
-    auto it = timely.find({s, k});
-    for (ProcId j : correct) {
-      if (j == s) continue;  // own message is local
-      if (it == timely.end() || it->second.count(j) == 0) return false;
-    }
-    return true;
+  // A source must reach every correct process but itself.
+  const std::size_t n_correct = correct_ids_.size();
+  auto is_source = [&](Round k, ProcId s) {
+    if ((eor_[k * words_ + s / 64] & bit(s)) == 0) return false;
+    return reached_[k * n_ + s] == n_correct - (is_correct(s) ? 1 : 0);
   };
 
-  // Per-round: all timely sources; whether all correct processes are timely.
-  std::vector<std::vector<ProcId>> sources_per_round(K + 1);
-  std::vector<bool> all_correct_timely(K + 1, false);
+  // One pass over the checked rounds: the first source per round, the last
+  // round in which some correct process was not a source (ES), and per
+  // process the first round of its source streak ending at k (ESS; 0 = not
+  // a source in round k).
+  Round last_not_all = 0;
+  std::vector<Round> streak(n_, 0);
   res.ms_ok = true;
   for (Round k = 1; k <= K; ++k) {
-    for (ProcId s = 0; s < n; ++s)
-      if (is_timely_source(s, k)) sources_per_round[k].push_back(s);
-    if (sources_per_round[k].empty() && res.ms_ok) {
+    ProcId first = n_;  // sentinel: no source
+    bool all_correct = true;
+    for (ProcId s = 0; s < n_; ++s) {
+      if (is_source(k, s)) {
+        if (first == n_) first = s;
+        if (streak[s] == 0) streak[s] = k;
+      } else {
+        streak[s] = 0;
+        if (is_correct(s)) all_correct = false;
+      }
+    }
+    if (first == n_ && res.ms_ok) {
       res.ms_ok = false;
       res.first_ms_violation = k;
     }
-    bool all = true;
-    for (ProcId j : correct)
-      if (!is_timely_source(j, k)) {
-        all = false;
-        break;
-      }
-    all_correct_timely[k] = all;
-    if (!sources_per_round[k].empty())
-      res.sources.push_back(sources_per_round[k].front());
-    else
-      res.sources.push_back(n);  // sentinel: no source
+    if (!all_correct) last_not_all = k;
+    res.sources.push_back(first);
   }
   if (!res.ms_ok) return res;
 
-  // ES witness: smallest k0 with all_correct_timely on [k0, K].
-  for (Round k0 = K;; --k0) {
-    if (!all_correct_timely[k0]) {
-      if (k0 < K) res.es_from = k0 + 1;
-      break;
-    }
-    if (k0 == 1) {
-      res.es_from = 1;
-      break;
-    }
-  }
+  // ES witness: the round after the last one missing a correct source.
+  if (last_not_all < K) res.es_from = last_not_all + 1;
 
-  // ESS witness: some process s timely-source on all of [k0, K]; take the
-  // smallest such k0 over all s.
-  std::optional<Round> best_k0;
-  std::optional<ProcId> best_s;
-  for (ProcId s = 0; s < n; ++s) {
-    // Walk back from K while s stays a source.
-    Round k0 = K + 1;
-    for (Round k = K;; --k) {
-      bool src = std::find(sources_per_round[k].begin(),
-                           sources_per_round[k].end(),
-                           s) != sources_per_round[k].end();
-      if (!src) break;
-      k0 = k;
-      if (k == 1) break;
+  // ESS witness: the longest source streak ending at K; ties go to the
+  // smallest id.
+  for (ProcId s = 0; s < n_; ++s)
+    if (streak[s] != 0 && (!res.ess_from || streak[s] < *res.ess_from)) {
+      res.ess_from = streak[s];
+      res.ess_source = s;
     }
-    if (k0 <= K && (!best_k0 || k0 < *best_k0)) {
-      best_k0 = k0;
-      best_s = s;
-    }
-  }
-  res.ess_from = best_k0;
-  res.ess_source = best_s;
   return res;
+}
+
+EnvCheckResult check_environment(const Trace& trace, std::size_t n,
+                                 const std::vector<ProcId>& correct) {
+  EnvMonitor monitor(n, correct);
+  for (const auto& e : trace.end_of_rounds())
+    monitor.end_of_round(e.process, e.round);
+  for (const auto& d : trace.deliveries())
+    monitor.delivery(d.sender, d.msg_round, d.receiver, d.receiver_round);
+  return monitor.result();
 }
 
 }  // namespace anon

@@ -1,22 +1,8 @@
 #include "giraf/trace.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 namespace anon {
-
-Round Trace::max_round() const {
-  Round best = 0;
-  for (const auto& e : eors_) best = std::max(best, e.round);
-  return best;
-}
-
-Round Trace::rounds_completed(ProcId p, std::size_t /*n_processes*/) const {
-  Round best = 0;
-  for (const auto& e : eors_)
-    if (e.process == p) best = std::max(best, e.round);
-  return best;
-}
 
 std::string Trace::summary() const {
   std::ostringstream os;

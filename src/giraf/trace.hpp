@@ -1,10 +1,11 @@
 // Execution traces: a machine-checkable record of which GIRAF actions fired
-// when.  The environment validators (src/env/validate.hpp) consume these to
-// certify that a simulated run actually satisfied MS / ES / ESS — both for
-// runs produced by our schedule generators and for runs *emulated* by
+// when.  check_environment (src/env/validate.hpp) replays these to certify
+// that a simulated run actually satisfied MS / ES / ESS — both for runs
+// produced by our schedule generators and for runs *emulated* by
 // Algorithm 5 on top of a weak-set.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -41,6 +42,9 @@ class Trace {
  public:
   void record_end_of_round(ProcId p, Round k, std::uint64_t time) {
     eors_.push_back({p, k, time});
+    if (p >= completed_.size()) completed_.resize(p + 1, 0);
+    completed_[p] = std::max(completed_[p], k);
+    max_round_ = std::max(max_round_, k);
   }
   void record_delivery(ProcId s, Round mk, ProcId r, Round rk,
                        std::uint64_t time) {
@@ -53,10 +57,12 @@ class Trace {
   const std::vector<CrashEvent>& crashes() const { return crashes_; }
 
   // Highest round any process completed.
-  Round max_round() const;
+  Round max_round() const { return max_round_; }
 
   // Rounds completed by process p (0 if none).
-  Round rounds_completed(ProcId p, std::size_t n_processes) const;
+  Round rounds_completed(ProcId p, std::size_t /*n_processes*/) const {
+    return p < completed_.size() ? completed_[p] : 0;
+  }
 
   std::string summary() const;
 
@@ -64,6 +70,9 @@ class Trace {
   std::vector<EndOfRoundEvent> eors_;
   std::vector<DeliveryEvent> deliveries_;
   std::vector<CrashEvent> crashes_;
+  // Kept as end-of-rounds are recorded, so the two queries above are O(1).
+  std::vector<Round> completed_;  // highest end-of-round per process
+  Round max_round_ = 0;
 };
 
 }  // namespace anon

@@ -38,6 +38,7 @@
 #include "common/value.hpp"
 #include "core/calendar.hpp"
 #include "env/faults.hpp"
+#include "env/validate.hpp"
 #include "giraf/process.hpp"
 #include "giraf/trace.hpp"
 #include "net/schedule.hpp"
@@ -71,6 +72,10 @@ struct LockstepOptions {
   // nullptr = the fault-free reliable network.  Fates are pure in (round,
   // sender, receiver), so every engine injects the same faults.
   const FaultPlan* faults = nullptr;
+  // Optional environment certifier (env/validate.hpp), aliased for the
+  // run's lifetime: fed every end-of-round and delivery as it happens,
+  // whether or not the trace records them.
+  EnvMonitor* monitor = nullptr;
 };
 
 struct RunResult {
@@ -237,6 +242,9 @@ class LockstepNet {
       if (!receives_at(d.receiver, r)) continue;  // dead or halted
       procs_[d.receiver]->receive(d.payload, d.msg_round);
       deliveries_ += d.payload->size();
+      if (opt_.monitor != nullptr)
+        opt_.monitor->delivery(d.sender, d.msg_round, d.receiver,
+                               procs_[d.receiver]->round());
       if (opt_.record_trace && opt_.record_deliveries)
         trace_.record_delivery(d.sender, d.msg_round, d.receiver,
                                procs_[d.receiver]->round(), r);
@@ -256,6 +264,7 @@ class LockstepNet {
     auto out = procs_[p]->end_of_round();
     ANON_CHECK(out.round == k);
     if (opt_.record_trace) trace_.record_end_of_round(p, k, k);
+    if (opt_.monitor != nullptr) opt_.monitor->end_of_round(p, k);
     if (opt_.halt_policy == HaltPolicy::kStopAfterDecide &&
         procs_[p]->decision().has_value())
       halted_[p] = 1;

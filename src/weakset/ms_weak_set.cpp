@@ -197,10 +197,13 @@ MsWeakSetRunResult run_ms_weak_set(const EnvParams& env,
   opt.seed = env.seed;
   opt.max_rounds = max_rounds;
   opt.faults = faults ? &*faults : nullptr;
-  // The trace exists only to certify the environment: without the check it
-  // would be Θ(rounds·n²) of dead weight (fatal at the bench scales).
-  opt.record_trace = ropt.validate_env;
-  opt.record_deliveries = ropt.validate_env;
+  // The environment is certified online, one bit per (round, sender,
+  // receiver): nothing here reads a trace, so none is recorded (a delivery
+  // trace would be Θ(rounds·n²) events, fatal at the bench scales).
+  std::optional<EnvMonitor> monitor;
+  if (ropt.validate_env) monitor.emplace(n, crashes.correct(n));
+  opt.monitor = monitor ? &*monitor : nullptr;
+  opt.record_trace = false;
   LockstepNet<ValueSet> net(std::move(autos), delays, crashes, opt);
   MsWeakSetRunResult out = run_ws_script(
       net, crashes, std::move(script), max_rounds,
@@ -211,8 +214,7 @@ MsWeakSetRunResult run_ms_weak_set(const EnvParams& env,
         dynamic_cast<MsWeakSetAutomaton&>(net.process(p).automaton())
             .start_add(v);
       });
-  if (ropt.validate_env)
-    out.env_check = check_environment(net.trace(), n, crashes.correct(n));
+  if (monitor) out.env_check = monitor->result();
   return out;
 }
 
