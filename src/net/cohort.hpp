@@ -128,9 +128,8 @@ struct CohortOptions {
   std::size_t engine_shards = 0;
 
   // The lock-step option set, minus the trace knobs and the monitor: the
-  // cohort engine records no per-process trace and feeds no per-process
-  // events (they are exactly the per-index expansion this engine exists to
-  // avoid).
+  // cohort engine records no per-process trace (a trace is exactly the
+  // per-index expansion this engine exists to avoid) and feeds no monitor.
   static CohortOptions from(const LockstepOptions& o) {
     CohortOptions c;
     c.seed = o.seed;
