@@ -437,12 +437,12 @@ TEST(EnvMonitor, EarlyReceiptIsTimelyLateReceiptIsNot) {
 }
 
 TEST(EnvMonitor, DuplicateDeliveriesCountOnce) {
-  // p0's round-1 message reaches p1 three times but never p2: with a
-  // count per sender, a double-counted duplicate would fake a source.
+  // p0's round-1 message reaches p1 twice but never p2: p0 needs two
+  // correct receivers, so a double-counted duplicate would fake a source.
   EnvMonitor m(3, {0, 1, 2});
   for (ProcId p = 0; p < 3; ++p)
     for (Round k = 1; k <= 2; ++k) m.end_of_round(p, k);
-  for (int i = 0; i < 3; ++i) m.delivery(0, 1, 1, 1);
+  for (int i = 0; i < 2; ++i) m.delivery(0, 1, 1, 1);
   const auto res = m.result();
   EXPECT_FALSE(res.ms_ok);
   EXPECT_EQ(res.first_ms_violation, 1u);
