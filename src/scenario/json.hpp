@@ -3,7 +3,7 @@
 // recursive-descent parser with line/column diagnostics, and a canonical
 // serializer.  Everything JSON in the tree flows through this type —
 // ScenarioSpec encode/decode, ScenarioReport emission, and the BENCH_E*.json
-// trajectory files (sim/bench_json is a thin shim over it).
+// files the experiment driver writes.
 #pragma once
 
 #include <cstdint>
@@ -98,7 +98,7 @@ struct JsonParseResult {
   std::size_t column = 0;
 };
 
-// JSON string quoting (shared with diagnostics and the bench shim).
+// JSON string quoting (shared with diagnostics).
 std::string json_quote(const std::string& s);
 
 // Shortest round-trip rendering of a finite double ("0.25", not

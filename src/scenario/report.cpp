@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "sim/bench_json.hpp"
-
 namespace anon {
 
 namespace {
@@ -243,14 +241,6 @@ std::string ScenarioReport::summary() const {
   }
   os << ", " << deliveries << " deliveries, wall " << round6(wall_s) << "s";
   return os.str();
-}
-
-void add_report_totals(BenchJson& j, const ScenarioReport& rep) {
-  j.set("cells", static_cast<std::uint64_t>(rep.cells()));
-  j.set("rounds", rep.rounds);
-  j.set("sends", rep.sends);
-  j.set("bytes", rep.bytes);
-  j.set("deliveries", rep.deliveries);
 }
 
 namespace {

@@ -4,9 +4,8 @@
 // Everything in the emitted JSON except the "timing" section is a pure
 // function of (spec, seeds) — the determinism regression pins that the
 // deterministic emission is byte-identical at any thread count.  The
-// committed BENCH_E*.json trajectory files are produced by the same
-// emitter via `add_report_totals` on a BenchJson (itself a shim over the
-// scenario JSON core).
+// committed BENCH_E*.json files record fields of this emission
+// (bench/anonbench.cpp).
 #pragma once
 
 #include <cstdint>
@@ -20,8 +19,6 @@
 #include "weakset/ws_register.hpp"
 
 namespace anon {
-
-class BenchJson;
 
 // ---- Per-family per-seed outcomes ------------------------------------------
 
@@ -127,11 +124,6 @@ struct ScenarioReport {
   // One-line human summary ("consensus e1: 10/10 decided, ...").
   std::string summary() const;
 };
-
-// Adds the report's shared rollup (cells/rounds/sends/bytes/deliveries) to
-// a bench trajectory object — the bridge between the driver and the
-// committed BENCH_E*.json files.
-void add_report_totals(BenchJson& j, const ScenarioReport& rep);
 
 // Sorted unique key paths ("outcome.cells[].decided", "timing.wall_s", …)
 // of the report's JSON — the schema the CI smoke job diffs against its

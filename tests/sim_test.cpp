@@ -1,11 +1,10 @@
-// Experiment-support utilities (tables, stats) and runner plumbing.
+// Experiment-support utilities (stats) and runner plumbing.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "algo/runner.hpp"
 #include "sim/experiment.hpp"
-#include "sim/table.hpp"
 
 namespace anon {
 namespace {
@@ -36,29 +35,6 @@ TEST(ExperimentSeeds, DeterministicAndDistinct) {
   EXPECT_EQ(a, b);
   std::set<std::uint64_t> uniq(a.begin(), a.end());
   EXPECT_EQ(uniq.size(), 5u);
-}
-
-TEST(TablePrint, AlignsAndContainsCells) {
-  Table t("title", {"col1", "longer column"});
-  t.add_row({"a", "b"});
-  t.add_row({"cccc", "d"});
-  std::ostringstream os;
-  t.print(os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("== title =="), std::string::npos);
-  EXPECT_NE(out.find("longer column"), std::string::npos);
-  EXPECT_NE(out.find("cccc"), std::string::npos);
-}
-
-TEST(TablePrint, RowWidthMismatchRejected) {
-  Table t("x", {"a", "b"});
-  EXPECT_THROW(t.add_row({"only-one"}), CheckFailure);
-}
-
-TEST(TableNum, Formats) {
-  EXPECT_EQ(Table::num(std::uint64_t{42}), "42");
-  EXPECT_EQ(Table::num(1.5, 1), "1.5");
-  EXPECT_EQ(Table::ratio(2.0), "2.00x");
 }
 
 // --- runner helpers ---
