@@ -88,8 +88,7 @@ const char* family_backend_support(ScenarioFamily f) {
     case ScenarioFamily::kWeakset:
       return "expanded, cohort (cohort disables validate_env)";
     case ScenarioFamily::kEmulation:
-      return "expanded, cohort (cohort needs engine \"interned\" and "
-             "disables certify)";
+      return "expanded, cohort (cohort disables certify)";
     default:
       return "expanded only";
   }

@@ -49,8 +49,7 @@ int main() {
   spec.crashes.entries = {{/*process=*/3, /*round=*/6}};
 
   spec.consensus.algo = ConsensusAlgo::kEs;
-  spec.consensus.record_deliveries = true;  // the validator replays the trace
-  spec.consensus.validate_env = true;       // certify the trace against ES
+  spec.consensus.validate_env = true;  // certify the run against ES
 
   auto scenario = ScenarioRegistry::instance().run(spec);
   const auto& report = scenario.consensus_cells[0].report;

@@ -37,7 +37,6 @@ int main() {
   spec.crashes.entries = {{1, 9}, {5, 21}};
 
   spec.consensus.algo = ConsensusAlgo::kEss;
-  spec.consensus.record_deliveries = true;
   spec.consensus.validate_env = true;
 
   const auto scenario = ScenarioRegistry::instance().run(spec);

@@ -40,7 +40,7 @@ namespace {
 
 // Shared between the expanded (LockstepNet) and cohort (CohortNet)
 // backends: both expose the same observation surface; only the expanded
-// engine records a trace (and can therefore certify the environment).
+// engine records a trace and feeds an environment monitor.
 // Report assembly itself lives in summarize_consensus_run (runner.hpp),
 // which the scenario layer reuses for its probe paths.
 template <typename Net>
@@ -85,6 +85,12 @@ ConsensusReport run_consensus(ConsensusAlgo algo, const ConsensusConfig& cfg,
   const FaultPlan fault_plan(cfg.faults, cfg.net.seed, cfg.env.n, &delays);
   LockstepOptions net_opt = cfg.net;
   if (fault_plan.active()) net_opt.faults = &fault_plan;
+  // Certification is online: the expanded engine feeds the monitor every
+  // end-of-round and delivery, whether or not the trace records them.
+  std::optional<EnvMonitor> monitor;
+  if (cfg.validate_env)
+    monitor.emplace(cfg.env.n, cfg.crashes.correct(cfg.env.n));
+  net_opt.monitor = monitor ? &*monitor : nullptr;
 
   bool undecided = false;
   auto drive = [&](auto& net) {

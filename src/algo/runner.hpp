@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/value.hpp"
 #include "core/sweep.hpp"
 #include "env/faults.hpp"
@@ -39,7 +40,7 @@ struct ConsensusConfig {
   CrashPlan crashes;
   std::vector<Value> initial;   // one per process; must have size env.n
   LockstepOptions net;
-  bool validate_env = true;     // run the trace validator afterwards
+  bool validate_env = true;     // certify the run online (EnvMonitor)
   ConsensusBackend backend = ConsensusBackend::kExpanded;
   // Schedule override: when set, this model replaces the EnvDelayModel the
   // runner would build from `env` (the scenario layer's adversarial
@@ -78,7 +79,7 @@ struct ConsensusReport {
   std::uint64_t fault_drops = 0;
   std::uint64_t fault_dups = 0;
   std::uint64_t inbox_overflow_dropped = 0;
-  // Environment certification of the recorded trace.
+  // Environment certification of the run (validate_env).
   EnvCheckResult env_check;
   // Cohort backend only: how far the run collapsed (0/0 for expanded).
   std::size_t cohorts_max = 0;
@@ -90,13 +91,14 @@ struct ConsensusReport {
 // Assembles the consensus-property report of a finished run on any engine
 // exposing the LockstepNet observation surface (shared by run_consensus and
 // the scenario layer's probe paths, which drive nets the ConsensusConfig
-// surface cannot describe).
+// surface cannot describe).  With `validate_env`, the report carries the
+// verdict of the EnvMonitor the run fed through LockstepOptions::monitor,
+// which the net must have; the crash plan is already the monitor's.
 template <typename Net>
 ConsensusReport summarize_consensus_run(Net& net,
                                         const std::vector<Value>& initial,
-                                        const CrashPlan& crashes,
+                                        const CrashPlan& /*crashes*/,
                                         RunResult run, bool validate_env) {
-  constexpr bool kHasTrace = requires { net.trace(); };
   ConsensusReport rep;
   rep.rounds_executed = run.rounds;
   rep.hit_round_limit = !run.stopped;
@@ -118,10 +120,12 @@ ConsensusReport summarize_consensus_run(Net& net,
     if (net.is_correct(p))
       rep.last_decision_round = std::max(rep.last_decision_round, r);
   }
-  if constexpr (kHasTrace) {
-    if (validate_env)
-      rep.env_check =
-          check_environment(net.trace(), net.n(), crashes.correct(net.n()));
+  if constexpr (requires { net.monitor(); }) {
+    if (validate_env) {
+      ANON_CHECK_MSG(net.monitor() != nullptr,
+                     "certification reads LockstepOptions::monitor");
+      rep.env_check = net.monitor()->result();
+    }
   } else {
     rep.cohorts_max = net.stats().max_cohorts;
     rep.cohorts_final = net.stats().cohorts;

@@ -36,8 +36,9 @@
 //
 // The seed implementation — `std::set<Element>` with deep vector compares,
 // a per-process `std::set<Element>` DELIVERED, and a full rescan of the
-// visible set per step — is preserved as `MsEmulationRef`
-// (ms_emulation_ref.hpp).  tests/emulation_regression_test.cpp proves the
+// visible set per step — is preserved as the test-only oracle
+// `MsEmulationRef` (tests/ms_emulation_ref.hpp).
+// tests/emulation_regression_test.cpp proves the
 // two emit byte-identical traces; within one step the new suffix is
 // delivered in the reference's element order (round, then canonical
 // message order), which is what makes the trace equality exact.
@@ -66,8 +67,8 @@ struct MsEmulationOptions {
   std::vector<std::uint64_t> skew;  // per-process multiplier (default 1)
   std::uint64_t max_ticks = 1000000;
   // Weak-set-operation fault plan (emul_faults.hpp); inactive by default.
-  // The reference engine (MsEmulationRef) does not take one — it stays the
-  // untouched oracle, and the spec layer rejects faults with engine=ref.
+  // The test-only reference engine (MsEmulationRef) does not take one — it
+  // stays the untouched oracle.
   EmulFaultModel faults;
 };
 

@@ -131,6 +131,7 @@ class LockstepNet {
   std::size_t n() const { return n_; }
   Round round() const { return round_; }
   const Trace& trace() const { return trace_; }
+  const EnvMonitor* monitor() const { return opt_.monitor; }
   const GirafProcess<M>& process(ProcId p) const { return *procs_[p]; }
   GirafProcess<M>& process(ProcId p) { return *procs_[p]; }
 

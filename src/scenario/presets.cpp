@@ -59,7 +59,6 @@ ScenarioSpec e8_spec(const std::string& name, std::size_t n, Round horizon) {
   spec.consensus.algo = ConsensusAlgo::kEs;
   spec.consensus.schedule = ConsensusSpecSection::Schedule::kBivalentMs;
   spec.consensus.max_rounds = horizon;
-  spec.consensus.record_deliveries = true;
   spec.consensus.validate_env = true;
   return spec;
 }
@@ -204,13 +203,11 @@ ScenarioSpec e6_register_spec(const std::string& name, std::size_t n,
 
 // --- emulation ---------------------------------------------------------------
 
-ScenarioSpec e5_spec(const std::string& name,
-                     EmulationSpecSection::Engine engine, std::size_t n,
-                     Round rounds, std::size_t seed_count) {
+ScenarioSpec e5_spec(const std::string& name, std::size_t n, Round rounds,
+                     std::size_t seed_count) {
   ScenarioSpec spec = base_spec(name, ScenarioFamily::kEmulation, seed_count);
   spec.env_kind = EnvKind::kMS;
   spec.n = n;
-  spec.emulation.engine = engine;
   spec.emulation.rounds = rounds;
   return spec;
 }
@@ -361,7 +358,6 @@ ScenarioSpec quickstart_spec() {
   spec.crashes.kind = CrashGenSpec::Kind::kExplicit;
   spec.crashes.entries = {{3, 6}};
   spec.consensus.algo = ConsensusAlgo::kEs;
-  spec.consensus.record_deliveries = true;
   spec.consensus.validate_env = true;
   return spec;
 }
@@ -389,11 +385,9 @@ void register_builtin_presets(ScenarioRegistry& reg) {
       e4_spec("e4-fast", 4, 12, 3));
   add("E5 tracked workload: Alg 5 MS emulation (interned engine), n=32, 160 "
       "rounds",
-      e5_spec("e5", EmulationSpecSection::Engine::kInterned, 32, 160, 10));
-  add("E5 A/B side: the retained seed engine on the e5 workload",
-      e5_spec("e5-ref", EmulationSpecSection::Engine::kRef, 32, 160, 10));
+      e5_spec("e5", 32, 160, 10));
   add("E5 smoke cell: interned engine, n=8, 25 rounds",
-      e5_spec("e5-fast", EmulationSpecSection::Engine::kInterned, 8, 25, 3));
+      e5_spec("e5-fast", 8, 25, 3));
   add("E6 weak-set register (Prop 1) over MS, n=9, 8 write/read pairs",
       e6_register_spec("e6-register", 9, 10));
   add("E6 register smoke cell: n=5, 3 seeds",

@@ -2,8 +2,11 @@
 // backend.  The env-schedule decision path is exactly the pre-redesign
 // `run_consensus_sweep` pipeline (the byte-identity regression pins this);
 // adversarial schedules and the convergence/state-growth probes drive
-// LockstepNet directly and report through the same summarizer.
+// LockstepNet directly and report through the same summarizer.  Every
+// path certifies online: with validate_env, an EnvMonitor rides on
+// LockstepOptions::monitor and no trace is replayed.
 #include <memory>
+#include <optional>
 
 #include "algo/es_consensus.hpp"
 #include "algo/ess_consensus.hpp"
@@ -32,6 +35,14 @@ ConsensusConfig config_from_spec(const ScenarioSpec& spec, std::uint64_t seed) {
   cfg.faults = spec.faults;
   cfg.watchdog_rounds = c.watchdog_rounds;
   return cfg;
+}
+
+// The online certifier of one probe-path cell (absent without
+// validate_env); it must outlive the net it is attached to.
+std::optional<EnvMonitor> certifier(const ScenarioSpec& spec,
+                                    const CrashPlan& crashes) {
+  if (!spec.consensus.validate_env) return std::nullopt;
+  return EnvMonitor(spec.n, crashes.correct(spec.n));
 }
 
 std::unique_ptr<DelayModel> adversarial_model(const ScenarioSpec& spec,
@@ -65,6 +76,8 @@ ConsensusCellOutcome run_adversarial_cell(const ScenarioSpec& spec,
     std::vector<std::unique_ptr<Automaton<EsMessage>>> autos;
     for (const Value& v : cfg.initial)
       autos.push_back(std::make_unique<EsConsensus>(v));
+    std::optional<EnvMonitor> monitor = certifier(spec, cfg.crashes);
+    cfg.net.monitor = monitor ? &*monitor : nullptr;
     LockstepNet<EsMessage> net(std::move(autos), *model, cfg.crashes, cfg.net);
     const RunResult run = net.run_until_all_correct_decided();
     cell.report = summarize_consensus_run(net, cfg.initial, cfg.crashes, run,
@@ -104,6 +117,8 @@ ConsensusCellOutcome run_convergence_cell(const ScenarioSpec& spec,
   opt.max_rounds = c.horizon;
   opt.record_trace = c.record_trace;
   opt.record_deliveries = c.record_deliveries;
+  std::optional<EnvMonitor> monitor = certifier(spec, crashes);
+  opt.monitor = monitor ? &*monitor : nullptr;
   LockstepNet<EssMessage> net(std::move(autos), delays, crashes, opt);
 
   Round last_bad = 0;
@@ -148,6 +163,8 @@ ConsensusCellOutcome run_state_growth_cell(const ScenarioSpec& spec,
   opt.max_rounds = c.horizon + 5;
   opt.record_trace = c.record_trace;
   opt.record_deliveries = c.record_deliveries;
+  std::optional<EnvMonitor> monitor = certifier(spec, crashes);
+  opt.monitor = monitor ? &*monitor : nullptr;
   LockstepNet<EssMessage> net(std::move(autos), delays, crashes, opt);
   const Round target = c.horizon;
   const RunResult run = net.run(

@@ -1,15 +1,14 @@
 // Emulation family runner: Algorithm 5's MS-from-weak-set emulation
-// (Theorem 4), on the interned watermark engine or the retained seed
-// engine, with echo probes (E5) or Algorithm 4's weak-set automaton on
-// top (the emulation-stack example: a weak-set built from a weak-set).
-// Either expanded engine can run cohort-collapsed (backend "cohort",
-// emul/ms_emulation_cohort.hpp) with byte-identical cells.
+// (Theorem 4) on the interned watermark engine, with echo probes (E5) or
+// Algorithm 4's weak-set automaton on top (the emulation-stack example: a
+// weak-set built from a weak-set).  The engine can run cohort-collapsed
+// (backend "cohort", emul/ms_emulation_cohort.hpp) with byte-identical
+// cells.
 #include <map>
 
 #include "emul/echo.hpp"
 #include "emul/ms_emulation.hpp"
 #include "emul/ms_emulation_cohort.hpp"
-#include "emul/ms_emulation_ref.hpp"
 #include "env/validate.hpp"
 #include "scenario/runners.hpp"
 #include "weakset/ms_weak_set.hpp"
@@ -26,8 +25,6 @@ MsEmulationOptions options_from_spec(const ScenarioSpec& spec,
   opt.max_add_latency = spec.emulation.max_add_latency;
   opt.skew = spec.emulation.skew;
   opt.max_ticks = spec.emulation.max_ticks;
-  // Validation rejects faults with engine=ref; the ref engine ignores the
-  // member either way.
   opt.faults = EmulFaultModel(spec.faults, seed, spec.n);
   return opt;
 }
@@ -47,7 +44,6 @@ std::vector<std::int64_t> probe_seeds(const ScenarioSpec& spec) {
   return seeds;
 }
 
-template <template <typename> class Engine>
 EmulationCellOutcome run_cell(const ScenarioSpec& spec, std::uint64_t seed) {
   const EmulationSpecSection& e = spec.emulation;
   const std::size_t n = spec.n;
@@ -63,7 +59,7 @@ EmulationCellOutcome run_cell(const ScenarioSpec& spec, std::uint64_t seed) {
       autos.push_back(std::make_unique<EchoAutomaton>(s));
   }
 
-  Engine<ValueSet> emu(std::move(autos), options_from_spec(spec, seed));
+  MsEmulation<ValueSet> emu(std::move(autos), options_from_spec(spec, seed));
 
   if (weakset_inner) {
     for (const auto& add : e.adds) {
@@ -186,9 +182,7 @@ ScenarioReport run_emulation_family(const ScenarioSpec& spec,
       [&](std::size_t i) -> EmulationCellOutcome {
         if (spec.emulation.backend == EmulationSpecSection::Backend::kCohort)
           return run_cohort_cell(spec, spec.seeds[i]);
-        return spec.emulation.engine == EmulationSpecSection::Engine::kRef
-                   ? run_cell<MsEmulationRef>(spec, spec.seeds[i])
-                   : run_cell<MsEmulation>(spec, spec.seeds[i]);
+        return run_cell(spec, spec.seeds[i]);
       },
       opt);
   return rep;

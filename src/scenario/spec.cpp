@@ -107,11 +107,6 @@ constexpr EnumName<EmulationSpecSection::Inner> kEmuInnerNames[] = {
     {EmulationSpecSection::Inner::kWeakset, "weakset"},
 };
 
-constexpr EnumName<EmulationSpecSection::Engine> kEmuEngineNames[] = {
-    {EmulationSpecSection::Engine::kInterned, "interned"},
-    {EmulationSpecSection::Engine::kRef, "ref"},
-};
-
 constexpr EnumName<ShmSpecSection::Construction> kShmNames[] = {
     {ShmSpecSection::Construction::kSwmr, "swmr"},
     {ShmSpecSection::Construction::kMwmr, "mwmr"},
@@ -133,7 +128,6 @@ const auto& names(ValueGenSpec::Kind) { return kValueGenNames; }
 const auto& names(CrashGenSpec::Kind) { return kCrashGenNames; }
 const auto& names(WeaksetSpecSection::Mode) { return kWeaksetModeNames; }
 const auto& names(EmulationSpecSection::Inner) { return kEmuInnerNames; }
-const auto& names(EmulationSpecSection::Engine) { return kEmuEngineNames; }
 const auto& names(ShmSpecSection::Construction) { return kShmNames; }
 
 template <typename E>
@@ -732,7 +726,6 @@ constexpr Field<EmulationAddSpec> kEmulationAddFields[] = {
 // 0..n-1).
 constexpr Field<EmulationSpecSection> kEmulationFields[] = {
     field<&EmulationSpecSection::inner>("inner"),
-    field<&EmulationSpecSection::engine>("engine"),
     field<&EmulationSpecSection::backend>("backend").if_changed(),
     field<&EmulationSpecSection::engine_threads>("engine_threads")
         .if_changed(),
@@ -1007,10 +1000,6 @@ std::vector<SpecError> validate_scenario_spec(const ScenarioSpec& spec) {
         case ScenarioFamily::kWeakset:
           break;  // both backends thread FaultPlan through the harness
         case ScenarioFamily::kEmulation:
-          if (spec.emulation.engine == EmulationSpecSection::Engine::kRef)
-            err("env.faults",
-                "the reference emulation engine is the untouched oracle; "
-                "pick engine \"interned\"");
           break;
         case ScenarioFamily::kAbd:
           // The async point-to-point net takes loss/dup/reorder/omission
@@ -1122,11 +1111,6 @@ std::vector<SpecError> validate_scenario_spec(const ScenarioSpec& spec) {
             "eventual source — only ESS has one; set \"ess\"");
       if (c.gc_counters && c.algo != ConsensusAlgo::kEss)
         err("consensus.gc_counters", "the counter GC extension is ESS-only");
-      if (c.validate_env && (!c.record_trace || !c.record_deliveries))
-        err("consensus.validate_env",
-            "environment certification replays the recorded trace — set "
-            "consensus.record_trace = true and consensus.record_deliveries = "
-            "true");
       if (adversarial && spec.crashes.kind != CrashGenSpec::Kind::kNone)
         err("workload.crashes.kind",
             "adversarial schedules run crash-free (the schedule is the "
@@ -1183,15 +1167,9 @@ std::vector<SpecError> validate_scenario_spec(const ScenarioSpec& spec) {
         if (e.adds[i].process >= spec.n)
           err("emulation.adds[" + std::to_string(i) + "].process",
               out_of_range(e.adds[i].process));
-      if (e.backend == EmulationSpecSection::Backend::kCohort) {
-        if (e.engine != EmulationSpecSection::Engine::kInterned)
-          err("emulation.engine",
-              "backend \"cohort\" collapses the interned engine — set "
-              "\"interned\"");
-        if (e.certify)
-          err("emulation.certify",
-              "backend \"cohort\" records no trace to certify — set false");
-      }
+      if (e.backend == EmulationSpecSection::Backend::kCohort && e.certify)
+        err("emulation.certify",
+            "backend \"cohort\" records no trace to certify — set false");
       if (!(e.probe_values == defaults<EmulationSpecSection>().probe_values)) {
         if (e.inner != EmulationSpecSection::Inner::kEcho)
           err("emulation.probe_values", "only valid for inner \"echo\"");

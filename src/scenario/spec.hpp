@@ -204,14 +204,12 @@ struct EmulationAddSpec {
 
 struct EmulationSpecSection {
   enum class Inner { kEcho, kWeakset };     // the automaton run on emulated rounds
-  enum class Engine { kInterned, kRef };    // watermark engine vs seed engine
   // Per-index execution vs the cohort-collapsed engine
-  // (emul/ms_emulation_cohort.hpp).  Cohort pairs with the interned
-  // engine, records no trace (so requires certify = false), and emits
-  // byte-identical cells otherwise (tests/emulation_cohort_test.cpp).
+  // (emul/ms_emulation_cohort.hpp).  Cohort records no trace (so requires
+  // certify = false) and emits byte-identical cells otherwise
+  // (tests/emulation_cohort_test.cpp).
   enum class Backend { kExpanded, kCohort };
   Inner inner = Inner::kEcho;
-  Engine engine = Engine::kInterned;
   Backend backend = Backend::kExpanded;
   std::size_t engine_threads = 1;           // cohort only: worker participants
   Round rounds = 40;                        // emulated rounds to reach
@@ -226,7 +224,7 @@ struct EmulationSpecSection {
   // probe classes.
   ValueGenSpec probe_values{ValueGenSpec::Kind::kDistinct, 0, 0, {}};
   // Certify the emitted trace against the MS environment definition
-  // (check_environment).  Requires a trace: expanded/ref backends only.
+  // (check_environment).  Requires a trace: the expanded backend only.
   bool certify = true;
 
   friend bool operator==(const EmulationSpecSection&,

@@ -16,13 +16,13 @@
 //
 // Total cost: O(ops log ops) for the sorts plus membership work linear in
 // the history's returned sets (× a binary-search log) — against the seed's
-// product terms.  The seed checker is preserved as ref_check_weak_set_spec
-// (reference_checkers.hpp); tests/spec_sweep_test.cpp proves agreement on
-// randomized and deliberately-violating histories, and BENCH_E4/E7 track
-// the measured gap.  When a history violates the spec, the reported
-// offending GET is the same one the reference picks (the first in record
-// order, visibility checked before thin-air); the witness VALUE inside
-// that get may differ when several are wrong at once.
+// product terms.  The seed checker survives as the test-only oracle
+// ref_check_weak_set_spec (tests/reference_checkers.hpp);
+// tests/spec_sweep_test.cpp proves agreement on randomized and
+// deliberately-violating histories.  When a history violates the spec,
+// the reported offending GET is the same one the reference picks (the
+// first in record order, visibility checked before thin-air); the witness
+// VALUE inside that get may differ when several are wrong at once.
 #include <algorithm>
 #include <cstdint>
 #include <limits>

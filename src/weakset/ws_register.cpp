@@ -47,10 +47,10 @@ std::optional<Value> register_read(const WsRegSnapshot& snapshot) {
 // w.end < S(r) where S(r) = max{ start of writes completed before r }.
 // S(r) is a prefix-max over writes sorted by end; validity of a
 // (value, read) pair is then one prefix-max query over that value's writes
-// sorted by start.  The reference implementation survives as
-// ref_check_regular_register (weakset/reference_checkers.hpp) and the two
-// are pitted against each other on randomized and violating histories in
-// tests/spec_sweep_test.cpp.
+// sorted by start.  The reference implementation survives as the
+// test-only oracle ref_check_regular_register (tests/reference_checkers.hpp)
+// and the two are pitted against each other on randomized and violating
+// histories in tests/spec_sweep_test.cpp.
 RegCheckResult check_regular_register(const std::vector<RegOpRecord>& ops) {
   struct ByEnd {
     std::uint64_t end;

@@ -55,7 +55,7 @@ TEST(CliBackend, DescribeStatesBackendSupportPerFamily) {
   ASSERT_EQ(emulation.rc, 0);
   EXPECT_NE(emulation.output.find("cohort"), std::string::npos)
       << emulation.output;
-  EXPECT_NE(emulation.output.find("interned"), std::string::npos)
+  EXPECT_NE(emulation.output.find("disables certify"), std::string::npos)
       << emulation.output;
 
   const auto shm = run_cmd("./anonsim describe e7-fast 2>&1 1>/dev/null");

@@ -8,7 +8,7 @@
 #include "algo/es_consensus.hpp"
 #include "algo/runner.hpp"
 #include "emul/ms_emulation.hpp"
-#include "emul/ms_emulation_ref.hpp"
+#include "ms_emulation_ref.hpp"
 #include "env/validate.hpp"
 
 namespace anon {

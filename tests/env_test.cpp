@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "algo/runner.hpp"
 #include "common/rng.hpp"
 #include "common/value.hpp"
 #include "emul/echo.hpp"
@@ -807,6 +808,42 @@ TEST(EnvMonitorProperty, EmulatedTracesMatchTheOracle) {
         ++cases;
       }
   EXPECT_EQ(cases, 36u);
+}
+
+TEST(EnvMonitorProperty, ConsensusRunsCertifyOnline) {
+  // run_consensus certifies through the monitor it attaches to the net;
+  // the trace it records on the side must replay to the same verdict.
+  // Both algorithms in all three environments, with and without crashes,
+  // fault-free and under the e14 plan with and without the exemption.
+  std::size_t cases = 0, not_ms = 0;
+  for (ConsensusAlgo algo : {ConsensusAlgo::kEs, ConsensusAlgo::kEss})
+    for (EnvKind kind : {EnvKind::kMS, EnvKind::kES, EnvKind::kESS})
+      for (int crash = 0; crash < 2; ++crash)
+        for (int plan = 0; plan < 3; ++plan) {
+          ConsensusConfig cfg;
+          cfg.env.kind = kind;
+          cfg.env.n = 7;
+          cfg.env.seed = 11 + plan;
+          cfg.env.stabilization = 5;
+          cfg.initial = distinct_values(7);
+          if (crash != 0) cfg.crashes = random_crashes(7, 3, 6, cfg.env.seed);
+          cfg.net.seed = cfg.env.seed;
+          cfg.net.max_rounds = 200;
+          cfg.validate_env = true;
+          if (plan > 0) cfg.faults = e14_faults(0.3, plan == 1);
+          Trace trace;
+          const ConsensusReport rep = run_consensus(algo, cfg, &trace);
+          const EnvCheckResult want =
+              oracle_check_environment(trace, 7, cfg.crashes.correct(7));
+          ASSERT_TRUE(same_result(rep.env_check, want))
+              << to_string(algo) << " " << to_string(kind) << " crash "
+              << crash << " plan " << plan;
+          ASSERT_GT(want.checked_rounds, 1u);
+          ++cases;
+          not_ms += !want.ms_ok;
+        }
+  EXPECT_EQ(cases, 36u);
+  EXPECT_GT(not_ms, 0u);  // unexempted faults break MS somewhere
 }
 
 }  // namespace

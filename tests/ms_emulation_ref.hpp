@@ -4,11 +4,10 @@
 //
 // `MsEmulation` (ms_emulation.hpp) replaced this with interned element
 // ids and watermark delivery; this copy exists so the refactor stays
-// *checkable*: tests/emulation_regression_test.cpp asserts the two
-// engines emit byte-identical traces for identical options, and
-// bench_e5_ms_emulation times them interleaved (the committed
-// BENCH_E5.json speedup baseline).  Semantics documentation lives with
-// the optimized engine.  Do not optimize this file.
+// *checkable*: emulation_regression_test.cpp asserts the two engines
+// emit byte-identical traces for identical options.  It is a test-only
+// oracle, not part of the library.  Semantics documentation lives with the
+// optimized engine.  Do not optimize this file.
 #pragma once
 
 #include <cstdint>

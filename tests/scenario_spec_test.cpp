@@ -179,14 +179,13 @@ std::vector<ScenarioSpec> every_field_specs() {
   gen_ops.weakset.gen_ops = 6;
   specs.push_back(gen_ops);
 
-  // The weak-set inner on the reference engine, with skew and adds.
+  // The weak-set inner, with skew and adds.
   ScenarioSpec adds;
   adds.name = "adds";
   adds.family = ScenarioFamily::kEmulation;
   adds.env_kind = EnvKind::kMS;
   adds.n = 3;
   adds.emulation.inner = EmulationSpecSection::Inner::kWeakset;
-  adds.emulation.engine = EmulationSpecSection::Engine::kRef;
   adds.emulation.rounds = 12;
   adds.emulation.min_add_latency = 2;
   adds.emulation.max_add_latency = 4;
@@ -458,14 +457,23 @@ TEST(ScenarioSpecValidation, EngineThreadsNeedTheCohortBackend) {
   }
 }
 
-TEST(ScenarioSpecValidation, ValidateEnvNeedsTheFullTrace) {
-  auto res = parse_scenario_spec(R"({
-    "family": "consensus",
-    "consensus": {"validate_env": true}
-  })");
-  ASSERT_FALSE(res.ok());
-  EXPECT_TRUE(has_error_at(res.errors, "consensus.validate_env"))
-      << res.errors_to_string();
+TEST(ScenarioSpecValidation, ValidateEnvNeedsNoTrace) {
+  // Certification is online, so it asks for no recorded trace, and the
+  // verdict does not depend on what the trace records.
+  std::string env;
+  for (const char* record : {R"("record_trace": false)",
+                             R"("record_deliveries": true)"}) {
+    auto res = parse_scenario_spec(std::string(R"({
+      "family": "consensus",
+      "env": {"kind": "es", "n": 5, "stabilization": 4},
+      "consensus": {"validate_env": true, )") + record + "}}");
+    ASSERT_TRUE(res.ok()) << res.errors_to_string();
+    const ScenarioReport rep = ScenarioRegistry::instance().run(*res.spec);
+    ASSERT_TRUE(rep.consensus_cells[0].env_checked);
+    const std::string got = rep.consensus_cells[0].report.env_check.to_string();
+    if (env.empty()) env = got;
+    EXPECT_EQ(got, env) << record;
+  }
 }
 
 TEST(ScenarioSpecValidation, WeaksetCohortBackendRoundTripsAndGates) {
@@ -516,14 +524,16 @@ TEST(ScenarioSpecValidation, EmulationCohortNeedsInternedAndNoCertify) {
   EXPECT_TRUE(has_error_at(certify.errors, "emulation.certify"))
       << certify.errors_to_string();
 
-  auto ref = parse_scenario_spec(R"({
+  // The seed engine is a test-only oracle; the spec no longer names an
+  // engine, so a spec file that does fails on an unknown key.
+  auto engine = parse_scenario_spec(R"({
     "family": "emulation",
     "env": {"kind": "ms"},
-    "emulation": {"backend": "cohort", "engine": "ref", "certify": false}
+    "emulation": {"engine": "interned"}
   })");
-  ASSERT_FALSE(ref.ok());
-  EXPECT_TRUE(has_error_at(ref.errors, "emulation.engine"))
-      << ref.errors_to_string();
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.errors,
+            (std::vector<SpecError>{{"emulation.engine", "unknown field"}}));
 }
 
 TEST(ScenarioSpecValidation, EmulationProbeValuesShapeTheEchoSeeds) {
@@ -570,10 +580,9 @@ TEST(ScenarioSpecValidation, EmulationProbeValuesShapeTheEchoSeeds) {
       << sized.errors_to_string();
 }
 
-TEST(ScenarioSpecValidation, FaultPlansReachWeaksetAndInternedEmulation) {
-  // The env.faults gate: weakset accepts any plan, emulation accepts them
-  // on the interned engine only (the ref engine is the untouched oracle),
-  // and trace-free families still reject.
+TEST(ScenarioSpecValidation, FaultPlansReachWeaksetAndEmulation) {
+  // The env.faults gate: weakset and emulation accept any plan, and
+  // trace-free families still reject.
   auto ws = parse_scenario_spec(R"({
     "family": "weakset",
     "env": {"faults": {"loss_prob": 0.25}},
@@ -586,15 +595,6 @@ TEST(ScenarioSpecValidation, FaultPlansReachWeaksetAndInternedEmulation) {
     "env": {"kind": "ms", "faults": {"loss_prob": 0.25}}
   })");
   EXPECT_TRUE(emu.ok()) << emu.errors_to_string();
-
-  auto ref = parse_scenario_spec(R"({
-    "family": "emulation",
-    "env": {"kind": "ms", "faults": {"loss_prob": 0.25}},
-    "emulation": {"engine": "ref"}
-  })");
-  ASSERT_FALSE(ref.ok());
-  EXPECT_TRUE(has_error_at(ref.errors, "env.faults"))
-      << ref.errors_to_string();
 
   auto shm = parse_scenario_spec(R"({
     "family": "weakset-shm",

@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "reference_checkers.hpp"
 #include "weakset/ms_weak_set.hpp"
-#include "weakset/reference_checkers.hpp"
 #include "weakset/ws_from_mwmr.hpp"
 #include "weakset/ws_from_swmr.hpp"
 #include "weakset/ws_register.hpp"
