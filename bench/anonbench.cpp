@@ -15,7 +15,7 @@
 // validate_scenario_spec before anything runs, so a rung that stops
 // validating fails the smoke test instead of a long run.
 //
-// Each rung runs `reps` times (1 with --smoke) on one sweep thread.  The
+// Each rung runs three times (once with --smoke) on one sweep thread.  The
 // file keeps the median repetition: its wall clock and the recorded paths
 // of its report.  A path step "key[]" ranges over an array's elements; the
 // values found there are summarized as a count of true (booleans),
@@ -54,8 +54,6 @@ struct Ladder {
   std::string name;
   std::string about;
   std::string preset;
-  int reps = 3;
-  bool has_variants = false;
   std::vector<std::string> record;
   std::vector<Rung> rungs;
   std::vector<Rung> smoke;
@@ -84,9 +82,7 @@ const JsonValue* member(const JsonValue& obj, const std::string& key,
     if (required) errs.push_back(where + ": missing \"" + key + "\"");
     return nullptr;
   }
-  const bool ok = kind == JsonValue::Kind::kUint ? v->is_uint()
-                                                 : v->kind() == kind;
-  if (!ok) {
+  if (v->kind() != kind) {
     errs.push_back(where + ": \"" + key + "\" has the wrong type");
     return nullptr;
   }
@@ -144,8 +140,7 @@ Ladder decode_ladder(const JsonValue& doc, std::vector<std::string>& errs) {
   l.name = name->as_string();
   const std::string& at = l.name;
   static const std::vector<std::string> kKeys = {
-      "name", "about", "preset", "reps", "variants", "record", "rungs",
-      "smoke"};
+      "name", "about", "preset", "variants", "record", "rungs", "smoke"};
   for (const auto& [key, value] : doc.entries())
     if (std::find(kKeys.begin(), kKeys.end(), key) == kKeys.end())
       errs.push_back(at + ": unknown key \"" + key + "\"");
@@ -155,9 +150,6 @@ Ladder decode_ladder(const JsonValue& doc, std::vector<std::string>& errs) {
   if (const JsonValue* preset =
           member(doc, "preset", JsonValue::Kind::kString, at, errs))
     l.preset = preset->as_string();
-  if (const JsonValue* reps =
-          member(doc, "reps", JsonValue::Kind::kUint, at, errs, false))
-    l.reps = static_cast<int>(std::max<std::uint64_t>(1, reps->as_uint()));
   if (const JsonValue* record =
           member(doc, "record", JsonValue::Kind::kArray, at, errs)) {
     for (const JsonValue& path : record->items()) {
@@ -178,7 +170,6 @@ Ladder decode_ladder(const JsonValue& doc, std::vector<std::string>& errs) {
       else
         errs.push_back(at + ": variant " + vname + " is an object");
     }
-    l.has_variants = true;
   }
   if (const JsonValue* rungs =
           member(doc, "rungs", JsonValue::Kind::kArray, at, errs))
@@ -212,10 +203,11 @@ void collect(const JsonValue& v, std::string_view path,
   }
 }
 
-// Four significant digits: run-to-run noise dwarfs the rest.
-JsonValue rounded(double v) {
+// `digits` significant digits: wall clocks keep four, since run-to-run
+// noise dwarfs the rest; means keep six.
+JsonValue rounded(double v, int digits) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.4g", v);
+  std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
   return JsonValue::number(std::strtod(buf, nullptr));
 }
 
@@ -236,16 +228,15 @@ JsonValue record_value(const JsonValue& report, const std::string& path) {
         [](const JsonValue* v) { return v->as_bool(); })));
   }
   if (all([](const JsonValue* v) { return v->is_number(); })) {
-    double sum = 0, lo = found.front()->as_double(), hi = lo;
-    for (const JsonValue* v : found) {
-      sum += v->as_double();
-      lo = std::min(lo, v->as_double());
-      hi = std::max(hi, v->as_double());
-    }
+    const auto less = [](const JsonValue* a, const JsonValue* b) {
+      return a->as_double() < b->as_double();
+    };
+    double sum = 0;
+    for (const JsonValue* v : found) sum += v->as_double();
     JsonValue s = JsonValue::object();
-    s.set("mean", rounded(sum / static_cast<double>(found.size())));
-    s.set("min", rounded(lo));
-    s.set("max", rounded(hi));
+    s.set("mean", rounded(sum / static_cast<double>(found.size()), 6));
+    s.set("min", **std::min_element(found.begin(), found.end(), less));
+    s.set("max", **std::max_element(found.begin(), found.end(), less));
     return s;
   }
   JsonValue counts = JsonValue::object();
@@ -288,28 +279,28 @@ JsonValue run_rung(const Ladder& l, const Rung& rung, int reps) {
     });
     const Sample& median = runs[(runs.size() - 1) / 2];
     JsonValue side = JsonValue::object();
-    side.set("wall_s", rounded(median.wall_s));
+    side.set("wall_s", rounded(median.wall_s, 4));
     side.set("cells", *median.report.find("cells"));
     for (const std::string& path : l.record) {
       JsonValue v = record_value(median.report, path);
       if (!v.is_null()) side.set(path, std::move(v));
     }
-    std::cout << "  " << l.name << " " << rung.set.dump_compact()
-              << (l.has_variants ? " " + rung.sides[s].variant : "")
-              << ": " << median.wall_s << " s\n"
+    const std::string& variant = rung.sides[s].variant;
+    std::cout << "  " << l.name << " " << rung.set.dump_compact() << " "
+              << variant << ": " << median.wall_s << " s\n"
               << std::flush;
-    if (!l.has_variants) {
+    if (variant.empty()) {
       for (const auto& [key, value] : side.entries()) out.set(key, value);
     } else {
-      out.set(rung.sides[s].variant, std::move(side));
+      out.set(variant, std::move(side));
     }
   }
   return out;
 }
 
-// Runs the full rungs, or the smoke rungs once each.
+// Runs the full rungs three times each, or the smoke rungs once.
 JsonValue run_ladder(const Ladder& l, bool smoke) {
-  const int reps = smoke ? 1 : l.reps;
+  const int reps = smoke ? 1 : 3;
   JsonValue out = JsonValue::object();
   out.set("name", JsonValue::str(l.name));
   out.set("about", JsonValue::str(l.about));

@@ -11,8 +11,7 @@
 //
 // If the receiver has never seen the parent digest (first contact, or a gap
 // after missed rounds), decode fails and the sender's full sequence must be
-// shipped once (`encode_full` / `decode_full`).  E10 (bench_e10) quantifies
-// the bytes saved.
+// shipped once (`encode_full` / `decode_full`).
 #pragma once
 
 #include <cstdint>

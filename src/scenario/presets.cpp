@@ -1,7 +1,7 @@
 // Named scenario presets reproducing the paper's experiment grids.  Every
-// bench family has (a) its tracked trajectory workload (the BENCH_E*.json
-// hot path) and (b) a seconds-fast variant the CI smoke job drives through
-// `anonsim run`.  Tests pin each preset's canonical spec encoding against
+// experiment has (a) its tracked workload, the base of its ladders in
+// bench/ladders.json, and (b) a seconds-fast variant the CI smoke job
+// drives through `anonsim run`.  Tests pin each preset's canonical spec encoding against
 // a golden file, so editing one here is a deliberate, reviewed act.
 #include "scenario/registry.hpp"
 #include "sim/experiment.hpp"
@@ -131,7 +131,7 @@ ScenarioSpec e13_spec(const std::string& name, std::size_t n,
 // degrade to a graceful `undecided` instead of spinning to max_rounds.  With
 // the planned source exempt (the default) the safety contract holds at any
 // intensity and only termination degrades; the -hostile variant clears the
-// exemption to map where the guarantees break (bench_e14_faults sweeps the
+// exemption to map where the guarantees break (the E14 ladder sweeps the
 // full intensity × env grid).
 ScenarioSpec e14_spec(const std::string& name, std::size_t n,
                       std::size_t seed_count, double intensity,
@@ -223,8 +223,7 @@ ScenarioSpec e5_spec(const std::string& name, std::size_t n, Round rounds,
 // count stays O(1) and the engine scales to n ≫ the expanded engine's
 // Θ(r·n²) trace budget.  Running either preset with `--backend expanded`
 // is the byte-identity A/B: the trace switches are already off in the
-// preset, so the reports must match exactly (bench_e16_emulcohort and CI
-// both diff them).
+// preset, so the reports must match exactly (CI diffs them).
 ScenarioSpec e16_weakset_spec(const std::string& name, std::size_t n,
                               std::size_t ops) {
   ScenarioSpec spec = base_spec(name, ScenarioFamily::kWeakset, 1);

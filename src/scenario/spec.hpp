@@ -323,7 +323,8 @@ std::string scenario_spec_to_json(const ScenarioSpec& spec);  // dump() + '\n'
 SpecDecodeResult decode_scenario_spec(const JsonValue& doc);
 SpecDecodeResult parse_scenario_spec(std::string_view json_text);
 
-// Validation only (already-built specs — benches construct specs in code).
+// Validation only (already-built specs — the experiment driver and tests
+// construct specs in code).
 std::vector<SpecError> validate_scenario_spec(const ScenarioSpec& spec);
 
 // Sets the one field at a dotted JSON path ("env.faults.loss_prob",

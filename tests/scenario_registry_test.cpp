@@ -21,8 +21,8 @@ ScenarioRegistry& registry() { return ScenarioRegistry::instance(); }
 
 // ---- byte-identity vs the pre-redesign pipelines ---------------------------
 
-// The exact config builder the benches used before the redesign
-// (bench_common::consensus_config), kept verbatim as the reference.
+// The exact config builder the experiment binaries used before the
+// redesign, kept verbatim as the reference.
 ConsensusConfig legacy_consensus_config(EnvKind kind, std::size_t n,
                                         Round stab, std::uint64_t seed,
                                         std::size_t crashes = 0) {
