@@ -470,7 +470,8 @@ TEST(ScenarioSpecValidation, ValidateEnvNeedsNoTrace) {
     ASSERT_TRUE(res.ok()) << res.errors_to_string();
     const ScenarioReport rep = ScenarioRegistry::instance().run(*res.spec);
     ASSERT_TRUE(rep.consensus_cells[0].env_checked);
-    const std::string got = rep.consensus_cells[0].report.env_check.to_string();
+    const std::string got =
+        rep.consensus_cells[0].report.env_check.to_string();
     if (env.empty()) env = got;
     EXPECT_EQ(got, env) << record;
   }
@@ -505,7 +506,7 @@ TEST(ScenarioSpecValidation, WeaksetCohortBackendRoundTripsAndGates) {
       << bad.errors_to_string();
 }
 
-TEST(ScenarioSpecValidation, EmulationCohortNeedsInternedAndNoCertify) {
+TEST(ScenarioSpecValidation, EmulationCohortNeedsNoCertify) {
   auto ok = parse_scenario_spec(R"({
     "family": "emulation",
     "env": {"kind": "ms"},
@@ -523,7 +524,9 @@ TEST(ScenarioSpecValidation, EmulationCohortNeedsInternedAndNoCertify) {
   ASSERT_FALSE(certify.ok());
   EXPECT_TRUE(has_error_at(certify.errors, "emulation.certify"))
       << certify.errors_to_string();
+}
 
+TEST(ScenarioSpecValidation, EmulationEngineIsAnUnknownKey) {
   // The seed engine is a test-only oracle; the spec no longer names an
   // engine, so a spec file that does fails on an unknown key.
   auto engine = parse_scenario_spec(R"({
