@@ -3,7 +3,7 @@
 // BENCH_<experiment>.json per experiment (E1–E17), stamped with its
 // provenance.
 //
-//   anonbench [--smoke] [--out DIR] [--commit SHA] [EXPERIMENT]
+//   anonbench [--smoke] [--out DIR] [--commit SHA] [EXPERIMENT | LADDER]
 //
 // A ladder ("E6.a") belongs to the experiment before its first dot (E6).
 // It names a preset, the rungs to run (each an object of
@@ -13,7 +13,10 @@
 // assignment object, where "preset" swaps the base preset), and the
 // report-JSON paths to record.  Every rung is decoded and validated with
 // validate_scenario_spec before anything runs, so a rung that stops
-// validating fails the smoke test instead of a long run.
+// validating fails the smoke test instead of a long run.  Naming an
+// experiment runs its ladders into BENCH_E6.json; naming one ladder of a
+// larger experiment runs it alone into BENCH_E6.a.json, so a partial run
+// never overwrites the experiment's file.
 //
 // Each rung runs three times (once with --smoke) on one sweep thread.  The
 // file keeps the median repetition: its wall clock and the recorded paths
@@ -315,7 +318,7 @@ JsonValue run_ladder(const Ladder& l, bool smoke) {
 
 int usage() {
   std::cerr << "usage: anonbench [--smoke] [--out DIR] [--commit SHA] "
-               "[EXPERIMENT]\n";
+               "[EXPERIMENT | LADDER]\n";
   return 2;
 }
 
@@ -362,9 +365,10 @@ int main_impl(int argc, char** argv) {
           return experiment_of(o.name) == experiment;
         }))
       errs.push_back(l.name + ": follow the other ladders of " + experiment);
-    if (only.empty() || experiment == only) ladders.push_back(std::move(l));
+    if (only.empty() || experiment == only || l.name == only)
+      ladders.push_back(std::move(l));
   }
-  if (ladders.empty()) errs.push_back("no ladder of experiment " + only);
+  if (ladders.empty()) errs.push_back("no experiment or ladder " + only);
   if (!errs.empty()) {
     for (const std::string& e : errs) std::cerr << e << "\n";
     return 2;
@@ -387,8 +391,10 @@ int main_impl(int argc, char** argv) {
          ++i)
       runs.push(run_ladder(ladders[i], smoke));
     doc.set("ladders", std::move(runs));
+    const std::string stem =
+        only.find('.') != std::string::npos ? only : experiment;
     const std::filesystem::path path =
-        std::filesystem::path(out_dir) / ("BENCH_" + experiment + ".json");
+        std::filesystem::path(out_dir) / ("BENCH_" + stem + ".json");
     std::ofstream file(path);
     file << doc.dump() << "\n";
     if (!file) {

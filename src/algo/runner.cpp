@@ -87,9 +87,8 @@ ConsensusReport run_consensus(ConsensusAlgo algo, const ConsensusConfig& cfg,
   if (fault_plan.active()) net_opt.faults = &fault_plan;
   // Certification is online: the expanded engine feeds the monitor every
   // end-of-round and delivery, whether or not the trace records them.
-  std::optional<EnvMonitor> monitor;
-  if (cfg.validate_env)
-    monitor.emplace(cfg.env.n, cfg.crashes.correct(cfg.env.n));
+  std::optional<EnvMonitor> monitor =
+      certifier(cfg.validate_env, cfg.env.n, cfg.crashes);
   net_opt.monitor = monitor ? &*monitor : nullptr;
 
   bool undecided = false;

@@ -99,6 +99,12 @@ EnvCheckResult EnvMonitor::result() const {
   return res;
 }
 
+std::optional<EnvMonitor> certifier(bool on, std::size_t n,
+                                    const CrashPlan& crashes) {
+  if (!on) return std::nullopt;
+  return EnvMonitor(n, crashes.correct(n));
+}
+
 EnvCheckResult check_environment(const Trace& trace, std::size_t n,
                                  const std::vector<ProcId>& correct) {
   EnvMonitor monitor(n, correct);

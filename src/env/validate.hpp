@@ -24,6 +24,8 @@
 
 namespace anon {
 
+class CrashPlan;
+
 struct EnvCheckResult {
   // MS: every checked round has at least one timely source.
   bool ms_ok = false;
@@ -101,6 +103,12 @@ class EnvMonitor {
   std::vector<std::uint64_t> receivers_;     // [round][sender][word]
   std::vector<std::uint32_t> reached_;       // [round][sender]
 };
+
+// The monitor a certifying run feeds through LockstepOptions::monitor: one
+// over the processes `crashes` never crashes, or none when `on` is false.
+// It must outlive the net it is attached to.
+std::optional<EnvMonitor> certifier(bool on, std::size_t n,
+                                    const CrashPlan& crashes);
 
 // Replays a recorded trace into one EnvMonitor.
 EnvCheckResult check_environment(const Trace& trace, std::size_t n,

@@ -37,14 +37,6 @@ ConsensusConfig config_from_spec(const ScenarioSpec& spec, std::uint64_t seed) {
   return cfg;
 }
 
-// The online certifier of one probe-path cell (absent without
-// validate_env); it must outlive the net it is attached to.
-std::optional<EnvMonitor> certifier(const ScenarioSpec& spec,
-                                    const CrashPlan& crashes) {
-  if (!spec.consensus.validate_env) return std::nullopt;
-  return EnvMonitor(spec.n, crashes.correct(spec.n));
-}
-
 std::unique_ptr<DelayModel> adversarial_model(const ScenarioSpec& spec,
                                               std::uint64_t seed) {
   switch (spec.consensus.schedule) {
@@ -76,7 +68,8 @@ ConsensusCellOutcome run_adversarial_cell(const ScenarioSpec& spec,
     std::vector<std::unique_ptr<Automaton<EsMessage>>> autos;
     for (const Value& v : cfg.initial)
       autos.push_back(std::make_unique<EsConsensus>(v));
-    std::optional<EnvMonitor> monitor = certifier(spec, cfg.crashes);
+    std::optional<EnvMonitor> monitor =
+        certifier(cfg.validate_env, spec.n, cfg.crashes);
     cfg.net.monitor = monitor ? &*monitor : nullptr;
     LockstepNet<EsMessage> net(std::move(autos), *model, cfg.crashes, cfg.net);
     const RunResult run = net.run_until_all_correct_decided();
@@ -117,7 +110,8 @@ ConsensusCellOutcome run_convergence_cell(const ScenarioSpec& spec,
   opt.max_rounds = c.horizon;
   opt.record_trace = c.record_trace;
   opt.record_deliveries = c.record_deliveries;
-  std::optional<EnvMonitor> monitor = certifier(spec, crashes);
+  std::optional<EnvMonitor> monitor =
+      certifier(c.validate_env, spec.n, crashes);
   opt.monitor = monitor ? &*monitor : nullptr;
   LockstepNet<EssMessage> net(std::move(autos), delays, crashes, opt);
 
@@ -163,7 +157,8 @@ ConsensusCellOutcome run_state_growth_cell(const ScenarioSpec& spec,
   opt.max_rounds = c.horizon + 5;
   opt.record_trace = c.record_trace;
   opt.record_deliveries = c.record_deliveries;
-  std::optional<EnvMonitor> monitor = certifier(spec, crashes);
+  std::optional<EnvMonitor> monitor =
+      certifier(c.validate_env, spec.n, crashes);
   opt.monitor = monitor ? &*monitor : nullptr;
   LockstepNet<EssMessage> net(std::move(autos), delays, crashes, opt);
   const Round target = c.horizon;

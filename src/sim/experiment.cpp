@@ -1,8 +1,39 @@
 #include "sim/experiment.hpp"
 
+#include <algorithm>
 #include <sstream>
 
+#include "common/check.hpp"
+
 namespace anon {
+
+SeriesStat aggregate(std::vector<double> samples) {
+  SeriesStat s;
+  if (samples.empty()) return s;
+  std::sort(samples.begin(), samples.end());
+  s.count = samples.size();
+  s.min = samples.front();
+  s.max = samples.back();
+  s.p50 = samples[samples.size() / 2];
+  double sum = 0;
+  for (double v : samples) sum += v;
+  s.mean = sum / static_cast<double>(samples.size());
+  return s;
+}
+
+std::string SeriesStat::to_string(int precision) const {
+  std::ostringstream os;
+  os.precision(precision);
+  os << std::fixed << mean << " [" << min << ".." << max << "]";
+  return os.str();
+}
+
+SeriesStat sweep_aggregate(const std::vector<std::uint64_t>& seeds,
+                           const std::function<double(std::uint64_t)>& sample,
+                           SweepOptions opt) {
+  return aggregate(parallel_sweep(
+      seeds.size(), [&](std::size_t i) { return sample(seeds[i]); }, opt));
+}
 
 std::string RoundSample::to_string() const {
   std::ostringstream os;

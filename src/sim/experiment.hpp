@@ -1,14 +1,36 @@
-// Experiment support: the standard seed list and per-round transport
-// samples.
+// Experiment support: multi-seed aggregation, the standard seed list and
+// per-round transport samples.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "core/sweep.hpp"
 #include "giraf/types.hpp"
 
 namespace anon {
+
+struct SeriesStat {
+  double mean = 0;
+  double min = 0;
+  double max = 0;
+  double p50 = 0;
+  std::size_t count = 0;
+
+  std::string to_string(int precision = 1) const;
+};
+
+SeriesStat aggregate(std::vector<double> samples);
+
+// Runs sample(seed) for every seed — sharded across threads via the core
+// sweep runner — and aggregates the series.  `sample` must be thread-safe
+// (every simulation in this repo is: each run owns its net/arena/RNGs).
+// The aggregate is identical for any thread count.
+SeriesStat sweep_aggregate(const std::vector<std::uint64_t>& seeds,
+                           const std::function<double(std::uint64_t)>& sample,
+                           SweepOptions opt = {});
 
 // The standard seed list used across experiments (kept small enough for
 // quick runs, large enough to expose variance).

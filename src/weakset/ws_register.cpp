@@ -265,8 +265,8 @@ RegisterRunResult run_register_over_ms(const EnvParams& env,
   // The environment is certified online, one bit per (round, sender,
   // receiver): nothing here reads a trace, so none is recorded (a delivery
   // trace would be Θ(rounds·n²) events, fatal at the bench scales).
-  std::optional<EnvMonitor> monitor;
-  if (ropt.validate_env) monitor.emplace(n, crashes.correct(n));
+  std::optional<EnvMonitor> monitor =
+      certifier(ropt.validate_env, n, crashes);
   opt.monitor = monitor ? &*monitor : nullptr;
   opt.record_trace = false;
   LockstepNet<ValueSet> net(std::move(autos), delays, crashes, opt);

@@ -1,4 +1,4 @@
-// Experiment-support utilities and runner plumbing.
+// Experiment-support utilities (stats) and runner plumbing.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -8,6 +8,26 @@
 
 namespace anon {
 namespace {
+
+TEST(Aggregate, BasicStats) {
+  auto s = aggregate({3, 1, 2});
+  EXPECT_EQ(s.count, 3u);
+  EXPECT_DOUBLE_EQ(s.min, 1);
+  EXPECT_DOUBLE_EQ(s.max, 3);
+  EXPECT_DOUBLE_EQ(s.mean, 2);
+  EXPECT_DOUBLE_EQ(s.p50, 2);
+}
+
+TEST(Aggregate, EmptyIsZeroed) {
+  auto s = aggregate({});
+  EXPECT_EQ(s.count, 0u);
+  EXPECT_DOUBLE_EQ(s.mean, 0);
+}
+
+TEST(Aggregate, ToStringFormat) {
+  auto s = aggregate({1, 2});
+  EXPECT_EQ(s.to_string(), "1.5 [1.0..2.0]");
+}
 
 TEST(ExperimentSeeds, DeterministicAndDistinct) {
   auto a = experiment_seeds(5);
