@@ -1,7 +1,7 @@
 // Every committed BENCH_*.json names where its numbers came from: the
 // machine's hardware threads, the build type, the compiler and the commit
-// the driver ran (bench/anonbench.cpp stamps all four).  A file without
-// them, or one written by a smoke run, fails here.
+// anonbench was built from (bench/anonbench.cpp stamps all four).  A file
+// without them, or one written by a smoke run, fails here.
 #include <gtest/gtest.h>
 
 #include <filesystem>

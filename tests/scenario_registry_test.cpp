@@ -21,7 +21,7 @@ ScenarioRegistry& registry() { return ScenarioRegistry::instance(); }
 
 // ---- byte-identity vs the pre-redesign pipelines ---------------------------
 
-// The exact config builder the experiment binaries used before the
+// The exact consensus config the experiment binaries built before the
 // redesign, kept verbatim as the reference.
 ConsensusConfig legacy_consensus_config(EnvKind kind, std::size_t n,
                                         Round stab, std::uint64_t seed,
